@@ -12,12 +12,17 @@ import argparse
 import datetime
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .czmax import cz_decompose, cz_report, maximal_function, weak11_ratio
+from .czmax import (
+    cz_decompose,
+    cz_report,
+    default_lambda_grid,
+    maximal_function,
+    weak11_ratio,
+)
 from .dynsys import (
     convergence_trace,
     cyclic_system,
@@ -29,11 +34,7 @@ from .dynsys import (
 )
 from .errors import ConfigError, ResourceCapError, SelectionStalled, VerificationError
 from .families import parse_family, parse_rho
-from .measures import (
-    fourier_grid,
-    make_measure,
-    triviality_sup,
-)
+from .measures import make_measure, triviality_sup, write_fourier_csv
 from .selection import select_subsequence, selection_to_json, verify_selection
 from .threshold import residue_density, transform_bound_audit
 from .weyl import weyl_bound_audit
@@ -43,15 +44,6 @@ EXIT_CONFIG = 2
 EXIT_STALLED = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving parallel map; single-threaded when threads <= 1."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_manifest(out_path: str, command: str, config: dict) -> None:
@@ -98,13 +90,7 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 def cmd_fourier(args) -> int:
     family = parse_family(args.family)
-    mu = family.measure(args.n)
-    vals = fourier_grid(mu, args.grid)
-    rows = (
-        (m / args.grid, vals[m].real, vals[m].imag, abs(vals[m]))
-        for m in range(args.grid)
-    )
-    _write_csv(args.out, ["gamma", "re", "im", "abs"], rows)
+    write_fourier_csv(args.out, family.measure(args.n), args.grid)
     _write_manifest(args.out, "fourier", _config_of(args))
     print(f"fourier: {family.descriptor} n={args.n} grid={args.grid} -> {args.out}")
     return EXIT_OK
@@ -202,13 +188,10 @@ def cmd_maximal(args) -> int:
     M = maximal_function(phi, measures)
     vals = np.sort(np.abs(M.weights))
     tv = phi.total_variation
-    top = float(np.max(np.abs(phi.weights)))
     rows = []
-    lam = top
-    while lam >= tv / (1 << 20):
+    for lam in default_lambda_grid(phi):
         count = len(vals) - int(np.searchsorted(vals, lam, side="right"))
         rows.append((lam, count, lam * count / tv))
-        lam /= 2.0
     _write_csv(args.out, ["lambda", "levelset_count", "ratio"], rows)
     _write_manifest(args.out, "maximal", _config_of(args))
     ratio = weak11_ratio(phi, measures)
@@ -219,13 +202,7 @@ def cmd_maximal(args) -> int:
 def cmd_weyl_audit(args) -> int:
     Ns = _parse_int_list(args.n)
     G = args.grid
-
-    def one(pair):
-        N, m = pair
-        return weyl_bound_audit(N, m / G)
-
-    pairs = [(N, m) for N in Ns for m in range(G)]
-    rows = _pmap(one, pairs, args.threads)
+    rows = [weyl_bound_audit(N, m / G) for N in Ns for m in range(G)]
     _write_csv(
         args.out,
         ["N", "beta", "p", "q", "err", "value", "bound_shape", "ratio"],
@@ -357,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", required=True, help="output data file path")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep width")
+    def common(p):
+        p.add_argument("--out", required=True, help="output data file path")
 
     p = sub.add_parser("fourier", help="Fourier grid of a family measure")
     p.add_argument("--family", required=True)

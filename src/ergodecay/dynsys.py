@@ -190,23 +190,21 @@ def convergence_trace(
             x = int(rng.integers(0, sys.modulus))
             x_repr = x
         avgs = [weighted_average(sys, f, mu, x) for mu in measures]
+        oscs = [0.0] * (K + 1)  # oscs[k]: diameter of avgs[k:], built from the back
+        for k in reversed(range(K)):
+            head = max((abs(avgs[k] - v) for v in avgs[k + 1 :]), default=0.0)
+            oscs[k] = max(oscs[k + 1], head)
         for k in range(K):
-            tail = avgs[k:]
-            osc = max(
-                (abs(u - v) for i, u in enumerate(tail) for v in tail[i + 1 :]),
-                default=0.0,
-            )
             rows.append(
                 {
                     "k": k + 1,
                     "n_k": indices[k],
                     "x": x_repr,
                     "value": avgs[k],
-                    "osc_tail": osc,
+                    "osc_tail": oscs[k],
                 }
             )
-            if k == K // 2:
-                mid_oscs.append(osc)
+        mid_oscs.append(oscs[K // 2])
     return {
         "rows": rows,
         "median_osc": float(np.median(mid_oscs)),

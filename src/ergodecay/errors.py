@@ -1,6 +1,7 @@
 """Exception types shared across the library.
 
-The CLI maps these onto distinct exit codes (see cli.EXIT_CODES).
+The CLI maps these onto distinct exit codes (see ``cli.EXIT_OK`` ...
+``cli.EXIT_VERIFY``).
 """
 
 

@@ -32,7 +32,11 @@ TWO_PI = 2.0 * math.pi
 # Largest FFT grid triviality_sup may allocate (complex128 => 16 bytes/point).
 DEFAULT_GRID_CAP = 1 << 25
 
+# First grid of every sup bracket and certification.
+_COARSE_GRID = 4096
+
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+_MAX_EXACT_SITE = 1 << 53  # sites beyond this do not convert to float64 exactly
 
 __all__ = [
     "WeightedMeasure",
@@ -70,7 +74,12 @@ def _frac_sites_gamma(sites: np.ndarray, gamma: float) -> np.ndarray:
 
     Plain ``sites * gamma % 1`` loses up to ~1e-7 absolute for sites ~ 1e9;
     the compensated product keeps the reduced phase accurate to ~1 ulp.
+    Raises ValueError for |site| > 2^53, where the float conversion is inexact.
     """
+    if len(sites) and max(int(sites.max()), -int(sites.min())) > _MAX_EXACT_SITE:
+        raise ValueError(
+            "site beyond 2^53 in magnitude: its phase needs a Fraction frequency"
+        )
     a = sites.astype(np.float64)
     x, err = _two_product(a, float(gamma))
     f = (x - np.floor(x)) + err
@@ -190,14 +199,21 @@ def _total_variation(weights: np.ndarray) -> float:
     When every |w| equals x, the exact sum is n*x (n < 2^53 is exact as a
     double); a single float multiply rounds that exact value once, as fsum
     does, so the two agree to the last bit.  A product that overflows falls
-    back to fsum, which then raises exactly as before.
+    back to fsum.  A magnitude or a sum beyond the double range raises
+    ValueError.
     """
     mags = np.abs(weights)
     if len(mags):
         tv = len(mags) * float(mags[0])
         if math.isfinite(tv) and bool(np.all(mags == mags[0])):
             return tv
-    return math.fsum(mags)
+    try:
+        tv = math.fsum(mags)
+    except OverflowError:
+        tv = math.inf
+    if not math.isfinite(tv):
+        raise ValueError("total variation of measure atoms overflows a double")
+    return tv
 
 
 def point_mass(site: int, weight: complex = 1.0) -> WeightedMeasure:
@@ -232,7 +248,7 @@ def _fold_mod(mu: WeightedMeasure, G: int) -> np.ndarray:
     return folded_re + 1j * folded_im
 
 
-def fourier_grid(mu: WeightedMeasure, G: int, method: str = "auto") -> np.ndarray:
+def fourier_grid(mu: WeightedMeasure, G: int, method: str = "fft") -> np.ndarray:
     """mu_hat at gamma = m/G for m = 0..G-1.
 
     ``fft`` folds the sites mod G and applies one inverse FFT (the positive
@@ -242,8 +258,6 @@ def fourier_grid(mu: WeightedMeasure, G: int, method: str = "auto") -> np.ndarra
     """
     if G < 2:
         raise ValueError("grid size must be >= 2")
-    if method == "auto":
-        method = "fft"
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
     if method == "fft":
@@ -304,7 +318,6 @@ def bracket_sup(
     lip: float,
     tol: float,
     grid_cap: int = DEFAULT_GRID_CAP,
-    start_grid: int = 4096,
     label: str = "bracket_sup",
 ) -> SupBracket:
     """Rigorously bracket the sup of |T| for a trig polynomial T on the circle.
@@ -320,7 +333,7 @@ def bracket_sup(
     eff_tol = max(tol - 2 * _FP_SLACK, tol * 0.5)
     lower = 0.0
     upper = math.inf
-    G = min(_next_pow2(start_grid), _next_pow2(grid_cap))
+    G = min(_COARSE_GRID, _next_pow2(grid_cap))
     seen = 0
     while True:
         gridmax = float(np.max(evaluate(G)))
@@ -360,22 +373,21 @@ def certify_sup_below(
     mu: WeightedMeasure,
     threshold: float,
     grid_cap: int = DEFAULT_GRID_CAP,
-    coarse_grid: int = 4096,
 ) -> tuple[bool | None, float, float, int]:
     """Decide whether the triviality functional is provably <= threshold.
 
-    Returns (verdict, lower, upper, grid): verdict True of False when decided,
+    Returns (verdict, lower, upper, grid): verdict True or False when decided,
     None when no grid within the cap can close the gap.  ``lower`` is always a
-    certified lower bound (an exactly evaluated grid point), ``upper`` is the
-    rigorous upper bound achieved (inf when undecided).
+    certified lower bound (an exactly evaluated grid point), ``upper`` the
+    smallest rigorous upper bound reached.
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
     degree, lip = _degree_and_lipschitz(mu)
-    G = min(_next_pow2(coarse_grid), _next_pow2(grid_cap))
+    G = min(_COARSE_GRID, _next_pow2(grid_cap))
     lower = 0.0
     upper = math.inf
-    for _ in range(40):
+    while True:
         vals = _triviality_on_grid(mu, G)
         gridmax = float(vals.max())
         lower = max(lower, gridmax - _FP_SLACK)
@@ -393,7 +405,6 @@ def certify_sup_below(
         if G_next > grid_cap:
             return None, lower, upper, G
         G = G_next
-    return None, lower, upper, G
 
 
 def convolve(mu: WeightedMeasure, phi: WeightedMeasure) -> WeightedMeasure:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import ResourceCapError, SelectionStalled, VerificationError
 from .families import MeasureFamily
@@ -49,20 +50,25 @@ def _exponent_for(radius: int) -> int:
     return 0 if radius <= 1 else (radius - 1).bit_length()
 
 
+def _cumulative_S(family: MeasureFamily):
+    """Yield (n, S(n)) for n = 1, 2, ...; each support radius is read once."""
+    radius = 0
+    for n in count(1):
+        radius = max(radius, family.support_radius(n))
+        yield n, _exponent_for(radius)
+
+
 def s_of(family: MeasureFamily, n: int) -> int:
     """S(n): minimal s with supp mu_m inside [-2^s, 2^s] for every m <= n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    radius = max(family.support_radius(m) for m in range(1, n + 1))
-    return _exponent_for(radius)
+    return next(islice(_cumulative_S(family), n - 1, None))[1]
 
 
 def n_of_s(family: MeasureFamily, s: int, search_cap: int = 10**6) -> int:
     """N(s): minimal n with S(n) > s."""
-    radius = 0
-    for n in range(1, search_cap + 1):
-        radius = max(radius, family.support_radius(n))
-        if _exponent_for(radius) > s:
+    for n, S_n in islice(_cumulative_S(family), search_cap):
+        if S_n > s:
             return n
     raise ResourceCapError(
         f"n_of_s: no n <= {search_cap} with S(n) > {s}; family supports may be bounded"
@@ -114,7 +120,6 @@ def select_subsequence(
     search_cap: int,
     sup_tol: float = 1e-6,
     grid_cap: int = DEFAULT_GRID_CAP,
-    coarse_grid: int = 4096,
 ) -> SelectionState:
     """Greedy smallest-admissible selection of ``count`` indices.
 
@@ -129,29 +134,17 @@ def select_subsequence(
     achieved: list[float] = []
     bounds: list[float] = []
 
-    cum_radius = 0
-    cum_for: int = 0  # index up to which cum_radius is current
-
-    def S_at(n: int) -> int:
-        nonlocal cum_radius, cum_for
-        for m in range(cum_for + 1, n + 1):
-            r = family.support_radius(m)
-            if r > cum_radius:
-                cum_radius = r
-        cum_for = max(cum_for, n)
-        return _exponent_for(cum_radius)
-
+    S_seq = _cumulative_S(family)
     for k in range(1, count + 1):
         S_prev = S_values[-1] if S_values else 0
         bound = 2.0 ** (-2 * S_prev - 2 * k)
-        start = chosen[-1] + 1 if chosen else 1
         if k == 1:
             # the first step is unconstrained; bound column is informational
-            n = 1
+            n, S_n = next(S_seq)
             mu = family.measure(n)
             bracket = triviality_sup(mu, max(sup_tol, 1e-9), grid_cap=grid_cap)
             chosen.append(n)
-            S_values.append(S_at(n))
+            S_values.append(S_n)
             achieved.append(bracket.upper)
             bounds.append(bound)
             continue
@@ -161,15 +154,12 @@ def select_subsequence(
         n_uncertifiable = 0
         n_skipped_S = 0
         accepted = None
-        for n in range(start, search_cap + 1):
-            S_n = S_at(n)
+        for n, S_n in islice(S_seq, max(0, search_cap - chosen[-1])):
             if S_n <= S_values[-1]:
                 n_skipped_S += 1
                 continue
             mu = family.measure(n)
-            verdict, lower, upper, _grid = certify_sup_below(
-                mu, bound, grid_cap=grid_cap, coarse_grid=coarse_grid
-            )
+            verdict, lower, upper, _grid = certify_sup_below(mu, bound, grid_cap=grid_cap)
             best_lower = min(best_lower, lower)
             if verdict is True:
                 accepted = (n, S_n, upper)
@@ -213,14 +203,16 @@ def verify_selection(family: MeasureFamily, state: SelectionState) -> list[dict]
     raises VerificationError naming the first failing index.
     """
     rows = []
-    cum_radius = 0
+    S_seq = _cumulative_S(family)
     prev_S = None
     last_n = 0
     for k, n in enumerate(state.chosen, start=1):
-        for m in range(last_n + 1, n + 1):
-            cum_radius = max(cum_radius, family.support_radius(m))
+        if n <= last_n:
+            raise VerificationError(
+                f"verification failed at k={k}: indices not strictly increasing"
+            )
+        S_n = next(S for m, S in S_seq if m == n)
         last_n = n
-        S_n = _exponent_for(cum_radius)
         if S_n != state.S_values[k - 1]:
             raise VerificationError(
                 f"verification failed at k={k}: recomputed S={S_n} != stored "

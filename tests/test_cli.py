@@ -99,13 +99,6 @@ def test_maximal_csv(tmp_path):
     assert len(lines) > 1
 
 
-def test_weyl_audit_deterministic_across_threads(tmp_path):
-    rc1, out1 = run(tmp_path, "w1.csv", "weyl-audit", "--grid", "64", "--n", "16,32", "--threads", "1")
-    rc2, out2 = run(tmp_path, "w2.csv", "weyl-audit", "--grid", "64", "--n", "16,32", "--threads", "2")
-    assert rc1 == rc2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_threshold_audit_csv(tmp_path):
     rc, out = run(
         tmp_path, "th.csv", "threshold-audit",

@@ -168,3 +168,27 @@ def test_trace_good_much_calmer_than_bad():
         [squares_measure(n) for n in (4, 8, 16, 32, 64, 128)], x_samples=6, seed=2,
     )
     assert bad["max_osc"] > 3 * good["max_osc"]
+
+
+@pytest.mark.parametrize(
+    "sys_, f",
+    [
+        (golden_rotation(), trig_function(1)),
+        (cyclic_system(15), table_function(np.random.default_rng(3).normal(size=15))),
+    ],
+)
+def test_trace_osc_tail_is_pairwise_tail_diameter(sys_, f):
+    measures = [squares_measure(n) for n in (1, 2, 3, 5, 8, 13, 21, 34)]
+    trace = convergence_trace(sys_, f, measures, x_samples=3, seed=1)
+    K = len(measures)
+    for start in range(0, len(trace["rows"]), K):
+        rows = trace["rows"][start : start + K]
+        avgs = [r["value"] for r in rows]
+        for k, r in enumerate(rows):
+            # O(K^3) reference: every pair of the tail, bit for bit
+            tail = avgs[k:]
+            brute = max(
+                (abs(u - v) for i, u in enumerate(tail) for v in tail[i + 1 :]),
+                default=0.0,
+            )
+            assert r["osc_tail"] == brute

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ergodecay import (
     ResourceCapError,
+    certify_sup_below,
     convolve,
     fourier_at,
     fourier_grid,
@@ -25,6 +26,7 @@ from ergodecay import (
     triviality_sup,
     write_fourier_csv,
 )
+from helpers import uniform_zero_based_family
 
 
 def brute_fourier(mu, gamma):
@@ -76,6 +78,16 @@ def test_zero_weights_dropped_and_nonfinite_rejected():
         make_measure([(0, float("inf"))])
     with pytest.raises(ValueError):
         make_measure([(0, float("nan"))])
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [[(0, 1e308), (1, 1e308)], [(0, 1.5e308 + 1.5e308j)]],
+)
+def test_total_variation_overflow_is_value_error(atoms):
+    # the sum, or a single |w| of finite parts, exceeds the double range
+    with pytest.raises(ValueError, match="overflows"):
+        make_measure(atoms)
 
 
 def _fsum_tv(mu):
@@ -151,6 +163,19 @@ def test_fourier_large_sites_phase_accuracy():
     gamma = 0.1234567890123
     exact = cmath.exp(2j * cmath.pi * float((Fraction(10**9 + 7) * Fraction(gamma)) % 1))
     assert fourier_at(mu, gamma) == pytest.approx(exact, abs=1e-12)
+
+
+def test_fourier_float_path_rejects_sites_beyond_2_53():
+    # 2^60 + 1 rounds to 2^60 as a double, which would silently give 1+0j
+    for site in (2**60 + 1, -(2**60 + 1), 2**53 + 1):
+        with pytest.raises(ValueError, match="2\\^53"):
+            fourier_at(point_mass(site), 0.1)
+    assert fourier_at(point_mass(2**53), 0.25) == pytest.approx(1.0, abs=1e-15)
+    # the exact Fraction path still serves those sites: (2^60 + 1) / 10 = 0.7 mod 1
+    mu = point_mass(2**60 + 1)
+    expected = cmath.exp(2j * cmath.pi * 0.7)
+    assert fourier_at(mu, Fraction(1, 10)) == pytest.approx(expected, abs=1e-15)
+    assert brute_fourier(mu, Fraction(1, 10)) == pytest.approx(expected, abs=1e-15)
 
 
 # -- fourier_grid -------------------------------------------------------------
@@ -233,6 +258,42 @@ def test_triviality_bracket_contains_finer_grid_max(data):
         )
     )
     assert br.lower - 1e-9 <= finer <= br.upper + 1e-9
+
+
+# -- certify_sup_below: the functional of the zero-based family is exactly 2^(2-n)
+
+
+@pytest.mark.parametrize(
+    "threshold, grid_cap, verdict",
+    [
+        (0.2, 1 << 25, True),
+        (0.1, 1 << 25, False),
+        (0.125 * (1 + 1e-6), 1 << 25, True),  # decided only after refinement
+        (0.125 * (1 + 1e-6), 4096, None),  # the same gap needs a grid past the cap
+    ],
+)
+def test_certify_sup_below_verdicts(threshold, grid_cap, verdict):
+    exact = 0.125  # n = 5
+    got, lower, upper, grid = certify_sup_below(
+        uniform_zero_based_family().measure(5), threshold, grid_cap=grid_cap
+    )
+    assert got is verdict
+    assert lower <= exact <= upper
+    assert grid <= grid_cap
+    if verdict is True:
+        assert upper <= threshold
+    if verdict is False:
+        assert lower > threshold
+
+
+def test_certify_sup_below_roundoff_tie_is_undecided():
+    # the sup equals the threshold, so no grid can separate them: give up at once
+    verdict, lower, upper, grid = certify_sup_below(
+        uniform_zero_based_family().measure(5), 0.125
+    )
+    assert verdict is None
+    assert grid == 4096
+    assert lower <= 0.125 <= upper
 
 
 # -- convolve -----------------------------------------------------------------

@@ -128,6 +128,26 @@ def test_select_squares_stalls_with_high_floor():
     assert report["rejected"] > 0
 
 
+@pytest.mark.parametrize(
+    "base, count, cap, chosen",
+    [(squares_family(), 2, 40, [1]), (uniform_dyadic_family(), 3, 12, [1, 8])],
+)
+def test_stalled_selection_reads_each_support_radius_once(base, count, cap, chosen):
+    reads = []
+
+    def radius(n):
+        if n > cap:
+            raise AssertionError(f"support_radius({n}) read past search_cap={cap}")
+        reads.append(n)
+        return base.support_radius(n)
+
+    fam = MeasureFamily(base.descriptor, base.measure, radius)
+    with pytest.raises(SelectionStalled) as exc:
+        select_subsequence(fam, count, search_cap=cap)
+    assert exc.value.report["chosen_so_far"] == chosen
+    assert reads == list(range(1, cap + 1))
+
+
 def test_select_perturbed_small_cap_stalls():
     fam = parse_family("perturbed:power:1/4")
     with pytest.raises(SelectionStalled) as exc:
@@ -156,6 +176,12 @@ def test_verify_rejects_injected_fault():
     )
     with pytest.raises(VerificationError):
         verify_selection(fam, bad_s)
+    bad_order = SelectionState(
+        state.family, state.chosen[::-1], state.S_values[::-1],
+        state.achieved_sups[::-1], state.bounds,
+    )
+    with pytest.raises(VerificationError, match="k=2: indices not strictly increasing"):
+        verify_selection(fam, bad_order)
 
 
 # -- serialization -------------------------------------------------------------------
