@@ -155,15 +155,12 @@ def cz_decompose(phi: WeightedMeasure, lam: float) -> CZDecomposition:
 
 def cz_report(phi: WeightedMeasure, dec: CZDecomposition) -> dict:
     """Invariant summary used by the cz-check CLI subcommand."""
-    recon: dict[int, complex] = {}
-    for s, w in zip(dec.good.sites.tolist(), dec.good.weights):
-        recon[s] = recon.get(s, 0.0) + w
-    for _, b in dec.bad:
-        for s, w in zip(b.sites.tolist(), b.weights):
-            recon[s] = recon.get(s, 0.0) + w
-    err = 0.0
-    for s in set(recon) | set(phi.sites.tolist()):
-        err = max(err, abs(recon.get(s, 0.0) - phi.weight_at(s)))
+    pieces = [dec.good, *(b for _, b in dec.bad)]
+    residual = _from_arrays(
+        np.concatenate([m.sites for m in pieces] + [phi.sites]),
+        np.concatenate([m.weights for m in pieces] + [-phi.weights]),
+    )
+    err = float(np.max(np.abs(residual.weights), initial=0.0))
     g_inf = float(np.max(np.abs(dec.good.weights))) if dec.good.n_atoms else 0.0
     return {
         "lambda": dec.lam,

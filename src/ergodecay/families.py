@@ -7,9 +7,10 @@ Families:
   perturbed:<rho>          (1/N) sum delta_{k^2 + floor(rho(k))}
 
 The rho menu is a closed enum (power, scaled log, powered log, constant) so
-that derivatives and inverses are exact formulas and floor(rho(k)) can be
-computed exactly at integer arguments: power exponents are stored as reduced
-fractions and resolved by integer root comparisons; the transcendental kinds
+that derivatives and inverses are exact formulas and floor(rho(x)) can be
+computed exactly.  Every scalar floor goes through RhoSpec.floor_at_sqrt:
+power exponents are stored as reduced fractions, so the power kind is exact
+at any rational argument by integer root arithmetic; the transcendental kinds
 get a float pass plus a high-precision recheck on values suspiciously close
 to an integer boundary.
 
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 _BOUNDARY_BAND = 1e-9  # float floors this close to an integer get a recheck
+_ROTATED_VARIANTS = ("quadratic", "linear")
 
 
 @dataclass(frozen=True)
@@ -135,115 +137,81 @@ class RhoSpec:
     # -- exact floors --------------------------------------------------------
 
     def floor_at_int(self, k) -> np.ndarray:
-        """floor(rho(k)) for integer k >= 1, exact."""
+        """floor(rho(k)) for integer k >= 1, exact; vectorised over arrays.
+
+        A float pass settles most elements; the rest go to floor_at_sqrt(k*k).
+        """
         karr = np.atleast_1d(np.asarray(k, dtype=np.int64))
         if self.kind == "constant":
-            out = np.full_like(karr, int(math.floor(self.param)))
+            out = np.full_like(karr, math.floor(self.param))
+            unsettled = np.zeros(len(karr), dtype=bool)
         elif self.kind == "power":
-            out = self._floor_power_int(karr)
+            p, q = self.param.numerator, self.param.denominator
+            out = np.floor(np.power(karr.astype(np.float64), float(self.param)) + 1e-12)
+            out = out.astype(np.int64)
+            kmax, tmax = int(karr.max(initial=1)), int(out.max(initial=1)) + 2
+            if kmax**p < 2**62 and tmax**q < 2**62:
+                # floor(k^(p/q)) = r  <=>  r^q <= k^p < (r+1)^q, all in int64; the
+                # float guess is off by at most 1, so one round each way settles it
+                kp = karr**p
+                out[(out + 1) ** q <= kp] += 1
+                out[out**q > kp] -= 1
+                unsettled = ((out + 1) ** q <= kp) | (out**q > kp)
+            else:
+                unsettled = np.ones(len(karr), dtype=bool)
         else:
-            out = self._floor_checked(karr.astype(np.float64))
+            t = self.value(karr.astype(np.float64))
+            out = np.floor(t).astype(np.int64)
+            unsettled = np.abs(t - np.round(t)) < _BOUNDARY_BAND
+        for i in np.nonzero(unsettled)[0]:
+            out[i] = self.floor_at_sqrt(int(karr[i]) ** 2)
         return out if np.ndim(k) else int(out[0])
 
     def floor_at(self, x: float) -> int:
-        """floor(rho(x)) at a real argument, with boundary recheck."""
+        """floor(rho(x)) at a real argument x >= 0, exact."""
+        if not 0 <= x < math.inf:
+            raise ValueError(f"rho needs a finite argument >= 0, got {x}")
+        return self.floor_at_sqrt(Fraction(x) ** 2)
+
+    def floor_at_sqrt(self, u) -> int:
+        """floor(rho(sqrt(u))) for rational u >= 0 (an int or a Fraction), exact.
+
+        The one scalar floor oracle.  Power kind a = p/q, u = num/den: the
+        largest r with r^(2q) <= num^p // den^p, by integer Newton.  Log kinds:
+        a float pass, rechecked at 60 digits within _BOUNDARY_BAND of an integer.
+        """
+        u = Fraction(u)
+        if u < 0:
+            raise ValueError(f"rho(sqrt(u)) needs u >= 0, got {u}")
         if self.kind == "constant":
-            return int(math.floor(self.param))
+            return math.floor(self.param)
+        num, den = u.numerator, u.denominator
         if self.kind == "power":
-            a = self.param
-            t = float(x) ** float(a)
-            r = math.floor(t)
-            if min(t - r, r + 1 - t) < _BOUNDARY_BAND:
-                return self._recheck_floor(x)
-            return r
+            p, q = self.param.numerator, self.param.denominator
+            X, n = num**p // den**p, 2 * q
+            if X == 0:
+                return 0
+            # integer Newton from above, which steps down to the root; the float
+            # root is within 1e-12 relative whenever exp does not overflow, so
+            # the start lies above it
+            r = math.floor(math.exp(math.log(X) / n) * (1 + 1e-9)) + 1
+            while True:
+                s = ((n - 1) * r + X // r ** (n - 1)) // n
+                if s >= r:
+                    return r
+                r = s
+        # past the double range of u, exp(log(u)/2) stays within 1e-13 relative
+        x = math.sqrt(u) if u < 2**1000 else math.exp((math.log(num) - math.log(den)) / 2)
         t = float(self.value(x))
         r = math.floor(t)
-        if min(t - r, r + 1 - t) < _BOUNDARY_BAND:
-            return self._recheck_floor(x)
-        return r
-
-    def _floor_power_int(self, karr: np.ndarray) -> np.ndarray:
-        a = self.param
-        p, q = a.numerator, a.denominator
-        t = np.floor(np.power(karr.astype(np.float64), float(a)) + 1e-12).astype(
-            np.int64
-        )
-        kmax = int(karr.max(initial=1))
-        tmax = int(t.max(initial=1)) + 2
-        if kmax**p < 2**62 and tmax**q < 2**62:
-            # floor(k^(p/q)) = r  <=>  r^q <= k^p < (r+1)^q, all in int64;
-            # the float guess is off by at most 1, so one round each way fixes it
-            kp = karr**p
-            t[(t + 1) ** q <= kp] += 1
-            t[t**q > kp] -= 1
-            bad = ((t + 1) ** q <= kp) | (t**q > kp)
-            if np.any(bad):  # pathological float guess; walk those few exactly
-                for i in np.nonzero(bad)[0]:
-                    kk = int(karr[i])
-                    r = int(t[i])
-                    while (r + 1) ** q <= kk**p:
-                        r += 1
-                    while r**q > kk**p:
-                        r -= 1
-                    t[i] = r
-            return t
-        out = np.empty_like(karr)
-        for i, kk in enumerate(karr.tolist()):
-            kp = kk**p
-            r = int(math.floor(kk ** float(a)))
-            while (r + 1) ** q <= kp:
-                r += 1
-            while r**q > kp:
-                r -= 1
-            out[i] = r
-        return out
-
-    def _floor_checked(self, xarr: np.ndarray) -> np.ndarray:
-        t = self.value(xarr)
-        r = np.floor(t).astype(np.int64)
-        frac = t - r
-        suspicious = np.nonzero((frac < _BOUNDARY_BAND) | (frac > 1 - _BOUNDARY_BAND))[0]
-        for i in suspicious:
-            r[i] = self._recheck_floor(float(xarr[i]))
-        return r
-
-    def floor_at_sqrt(self, l: int) -> int:
-        """floor(rho(sqrt(l))) for integer l >= 1, exact."""
-        if self.kind == "constant":
-            return int(math.floor(self.param))
-        if self.kind == "power":
-            a = self.param
-            p, q = a.numerator, a.denominator
-            # floor(l^(p/2q)) = r  <=>  r^(2q) <= l^p
-            lp = int(l) ** p
-            r = int(math.floor(float(l) ** (float(a) / 2.0) + 1e-12))
-            while (r + 1) ** (2 * q) <= lp:
-                r += 1
-            while r > 0 and r ** (2 * q) > lp:
-                r -= 1
+        if min(t - r, r + 1 - t) >= _BOUNDARY_BAND:
             return r
-        t = float(self.value(math.sqrt(l)))
-        r = math.floor(t)
-        if min(t - r, r + 1 - t) < _BOUNDARY_BAND:
-            return self._recheck_floor(l, sqrt_arg=True)
-        return r
-
-    def _recheck_floor(self, x, sqrt_arg: bool = False) -> int:
         with mpmath.workdps(60):
-            xm = mpmath.sqrt(mpmath.mpf(x)) if sqrt_arg else mpmath.mpf(x)
-            if self.kind == "power":
-                t = mpmath.power(
-                    xm, mpmath.mpf(self.param.numerator) / self.param.denominator
-                )
-            elif self.kind == "log_scaled":
-                t = mpmath.mpf(self.param) * mpmath.log(1 + xm)
-            elif self.kind == "log_power":
-                t = mpmath.log(1 + xm) ** mpmath.mpf(self.param)
-            else:
-                t = mpmath.mpf(self.param)
+            lg = mpmath.log(1 + mpmath.sqrt(mpmath.mpf(num) / den))
+            t = self.param * lg if self.kind == "log_scaled" else lg ** mpmath.mpf(self.param)
             fl = mpmath.floor(t)
             if abs(t - fl) < mpmath.mpf(10) ** -40 and t != fl:
-                raise ArithmeticError(f"floor(rho({x})) undecidable at 60 digits")
+                raise ArithmeticError(f"floor(rho(sqrt({u}))) undecidable at 60 digits")
             return int(fl)
 
     def check_shape(self, x_lo: float = 8.0, x_hi: float = 1e6, samples: int = 64) -> None:
@@ -300,13 +268,10 @@ def rotated_squares_measure(n: int, variant: str = "quadratic") -> WeightedMeasu
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=np.int64)
-    theta = 1.0 / math.sqrt(n)
-    if variant in ("quadratic", "quadratic_phase"):
-        phases = _unit_phases(k * k, theta % 1.0)
-    elif variant in ("linear", "linear_phase"):
-        phases = _unit_phases(k, theta % 1.0)
-    else:
+    if variant not in _ROTATED_VARIANTS:
         raise ConfigError(f"unknown rotated variant {variant!r}")
+    theta = 1.0 / math.sqrt(n)
+    phases = _unit_phases(k * k if variant == "quadratic" else k, theta % 1.0)
     return _from_arrays(k * k, phases / n)
 
 
@@ -383,7 +348,7 @@ def parse_family(text: str) -> MeasureFamily:
         return squares_family()
     if head == "rotated":
         variant = parts[1] if len(parts) > 1 else "quadratic"
-        if variant not in ("quadratic", "quadratic_phase", "linear", "linear_phase"):
+        if variant not in _ROTATED_VARIANTS:
             raise ConfigError(f"unknown rotated variant {variant!r}")
         return rotated_family(variant)
     if head == "perturbed":

@@ -248,28 +248,18 @@ def _fold_mod(mu: WeightedMeasure, G: int) -> np.ndarray:
     return folded_re + 1j * folded_im
 
 
-def fourier_grid(mu: WeightedMeasure, G: int, method: str = "fft") -> np.ndarray:
+def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
     """mu_hat at gamma = m/G for m = 0..G-1.
 
-    ``fft`` folds the sites mod G and applies one inverse FFT (the positive
-    sign convention matches numpy's ifft up to the 1/G factor); ``direct``
-    evaluates each grid point with exact integer phase reduction.  The two
-    routes agree to ~1e-13 and are cross-validated in the test suite.
+    Folds the sites mod G and applies one inverse FFT (the positive sign
+    convention matches numpy's ifft up to the 1/G factor).  The test suite
+    cross-validates it against ``fourier_at`` at exact Fraction frequencies.
     """
     if G < 2:
         raise ValueError("grid size must be >= 2")
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
-    if method == "fft":
-        return np.fft.ifft(_fold_mod(mu, G)) * G
-    if method == "direct":
-        res = np.mod(mu.sites, G)
-        out = np.empty(G, dtype=np.complex128)
-        for m in range(G):
-            fr = ((res * m) % G) / G
-            out[m] = _csum(mu.weights * np.exp((2j * math.pi) * fr))
-        return out
-    raise ValueError(f"unknown method {method!r}")
+    return np.fft.ifft(_fold_mod(mu, G)) * G
 
 
 def _triviality_on_grid(mu: WeightedMeasure, G: int) -> np.ndarray:

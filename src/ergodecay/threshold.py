@@ -41,17 +41,11 @@ __all__ = [
 
 def _first_with_floor_ge(floor_fn, j: int, guess: int) -> int:
     """Smallest integer m >= 1 with floor_fn(m) >= j, floor_fn nondecreasing."""
-    lo = 1
-    hi = max(1, guess)
-    if floor_fn(hi) >= j:
-        lo = 1
-    else:
-        step = 1
-        lo = hi
-        while floor_fn(hi) < j:
-            lo = hi + 1
-            step *= 2
-            hi += step
+    lo, hi, step = 1, max(1, guess), 1
+    while floor_fn(hi) < j:
+        lo = hi + 1
+        step *= 2
+        hi += step
     while lo < hi:
         mid = (lo + hi) // 2
         if floor_fn(mid) >= j:
@@ -347,6 +341,8 @@ def residue_density(
     desk scale separates slowly growing rho from the power kinds.
     """
     _odd_squarefree_primes(Q)  # validates Q
+    if not 0 < window < math.inf:
+        raise ConfigError(f"window must be finite and > 0, got {window}")
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")

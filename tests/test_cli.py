@@ -121,6 +121,21 @@ def test_residues_csv(tmp_path):
     assert len(lines) == 7  # six quadratic residues mod 15
 
 
+def test_residues_power_class_at_exact_power(tmp_path, capsys):
+    # floor(rho(0.5 * 200000)) = 100000^(1/5) = 10 exactly
+    rc, _ = run(tmp_path, "r.csv", "residues", "--rho", "power:1/5", "--q", "105",
+                "--n-list", "200000")
+    assert rc == 0
+    assert "r_Q=10 " in capsys.readouterr().out
+
+
+def test_residues_bad_window_exit_2(tmp_path):
+    for rho in ("power:1/4", "log:1"):
+        rc, _ = run(tmp_path, "r.csv", "residues", "--rho", rho, "--q", "15",
+                    "--n-list", "1000", "--window", "-0.5")
+        assert rc == 2
+
+
 def test_dynsys_trace_csv(tmp_path):
     rc, out = run(
         tmp_path, "d.csv", "dynsys-trace",

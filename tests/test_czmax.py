@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,27 @@ def test_cz_indicator_block_maximality_climbs():
     assert [(q.s, q.k) for q in dec.selected] == oracle
     rep = cz_report(phi, dec)
     assert rep["reconstruction_error"] == 0.0
+
+
+def test_cz_report_measures_injected_reconstruction_error():
+    rng = np.random.default_rng(5)
+    phi = dyadic_phi(rng, span=64, n=12)
+    dec = cz_decompose(phi, float(np.max(np.abs(phi.weights))) / 8)
+    assert dec.bad
+
+    def plus(mu, site, w):
+        return make_measure([(int(x), v) for x, v in zip(mu.sites, mu.weights)] + [(site, w)])
+
+    far = int(phi.sites[-1]) + 1000  # outside every piece and off phi's support
+    # a site only in the reconstruction
+    good = plus(dec.good, far, 0.375j)
+    assert cz_report(phi, replace(dec, good=good))["reconstruction_error"] == 0.375
+    # a site only in phi
+    assert cz_report(plus(phi, far, -0.625), dec)["reconstruction_error"] == 0.625
+    # a site inside a selected interval, off by one bad piece
+    q, b = dec.bad[0]
+    bad = ((q, plus(b, q.start, 0.125)),) + dec.bad[1:]
+    assert cz_report(phi, replace(dec, bad=bad))["reconstruction_error"] == 0.125
 
 
 def test_cz_matches_brute_oracle_on_corpus():

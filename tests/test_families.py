@@ -80,6 +80,77 @@ def test_floor_at_sqrt_matches_direct():
         assert rho.floor_at_sqrt(l) == r, l
 
 
+ALL_KINDS = (
+    rho_power(Fraction(1, 4)), rho_power(Fraction(1, 5)), rho_power(Fraction(2, 7)),
+    rho_power(Fraction(3, 10)), rho_power(Fraction(1, 7)), rho_log(1.0), rho_log(0.5),
+    rho_log_power(1.5), rho_constant(2.5),
+)
+
+
+def exact_power_floor(a: Fraction, x) -> int:
+    """Oracle: largest r with r^q den^p <= num^p for x = num/den, by bisection."""
+    f = Fraction(x)
+    p, q = a.numerator, a.denominator
+    top, bottom = f.numerator**p, f.denominator**p
+    lo, hi = 0, 1
+    while hi**q * bottom <= top:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**q * bottom <= top else (lo, mid)
+    return lo
+
+
+def test_three_floor_entry_points_agree():
+    k_all = np.arange(1, 200_001, dtype=np.int64)
+    for rho in ALL_KINDS:
+        floors = rho.floor_at_int(k_all)
+        # every block boundary up to 2e5, with both neighbours, plus a sweep
+        edges = np.nonzero(np.diff(floors))[0] + 1
+        ks = sorted({*range(1, 2000), *range(2000, 200_001, 997),
+                     *(int(e) + d for e in edges for d in (0, 1, 2))})
+        for k in ks:
+            want = int(floors[k - 1])
+            assert rho.floor_at_int(k) == want, (rho, k)
+            assert rho.floor_at(float(k)) == want, (rho, k)
+            assert rho.floor_at_sqrt(k * k) == want, (rho, k)
+
+
+def test_power_floor_exact_at_and_around_block_endpoints():
+    for a in (Fraction(1, 4), Fraction(1, 5), Fraction(2, 7), Fraction(3, 10), Fraction(1, 7)):
+        rho = rho_power(a)
+        for y in range(1, 21):
+            x = rho.inverse(y)
+            for z in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+                assert rho.floor_at(z) == exact_power_floor(a, z), (a, z)
+                assert rho.floor_at_sqrt(Fraction(z) ** 2) == exact_power_floor(a, z), (a, z)
+    assert rho_power(Fraction(1, 5)).floor_at(100000.0) == 10
+    assert rho_power(Fraction(2, 7)).floor_at(128.0) == 4
+
+
+def test_floor_beyond_the_int64_and_float_ranges():
+    # k^3 passes 2^62 near k = 1.66e6, and (floor + 2)^1000 always does, so
+    # every element below goes through the exact scalar oracle
+    ks = np.array([2, 1_650_000, 1_700_000, 10**9, 2**40 - 1, 2**40, 3**25], dtype=np.int64)
+    for a in (Fraction(3, 10), Fraction(1, 1000)):
+        got = rho_power(a).floor_at_int(ks)
+        assert got.tolist() == [exact_power_floor(a, int(k)) for k in ks], a
+    # exact far past the float range of x^2
+    assert rho_power(Fraction(1, 4)).floor_at(1e200) == exact_power_floor(Fraction(1, 4), 1e200)
+    assert rho_log(1.0).floor_at(1e200) == 460  # log(1 + 1e200) = 460.517...
+    assert rho_log_power(1.5).floor_at(1e300) == 18155  # 690.7755...^1.5 = 18155.38...
+
+
+def test_floor_at_rejects_negative_and_non_finite():
+    for rho in ALL_KINDS:
+        for x in (-0.5, -1e-300, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                rho.floor_at(x)
+        with pytest.raises(ValueError):
+            rho.floor_at_sqrt(Fraction(-4, 9))
+        assert rho.floor_at(0.0) == (2 if rho.kind == "constant" else 0)
+
+
 # -- squares --------------------------------------------------------------------
 
 
@@ -201,7 +272,8 @@ def test_parse_family_roundtrip():
 
 
 def test_parse_family_errors():
-    for bad in ("sqares", "perturbed", "perturbed:power:0.5", "rotated:cubic", "squares:1"):
+    for bad in ("sqares", "perturbed", "perturbed:power:0.5", "rotated:cubic", "squares:1",
+                "rotated:quadratic_phase", "rotated:linear_phase"):
         with pytest.raises(ConfigError):
             parse_family(bad)
 

@@ -257,6 +257,13 @@ def test_residue_density_rejects_bad_q():
             residue_density(rho_constant(0.0), q, [1000])
 
 
+def test_residue_density_rejects_bad_window():
+    for rho in (RHO4, rho_log(1.0)):
+        for window in (-0.5, 0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                residue_density(rho, 15, [1000], window=window)
+
+
 def test_residue_density_constant_matches_enumeration():
     N = 10**5
     prof = residue_density(rho_constant(0.0), 15, [N])
