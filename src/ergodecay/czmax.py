@@ -234,9 +234,16 @@ def sigma_hat_grid(S_prev: int, n: int, G: int) -> np.ndarray:
     m = np.arange(G, dtype=np.int64)
     num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
     den = M * np.sin(np.pi * m / G)
-    phase = np.exp(2j * np.pi * (((M + 1) * m) % (2 * G)) / (2 * G))
+    den[den == 0.0] = 1.0
+    # the complex steps in place: at G = 2^25 each complex array is 512 MB
+    m *= M + 1
+    m %= 2 * G
+    vals = 2j * np.pi * m
+    vals /= 2 * G
+    np.exp(vals, out=vals)
+    vals *= num
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = phase * num / np.where(den == 0.0, 1.0, den)
+        vals /= den
     vals[0] = 1.0
     return vals
 
@@ -259,7 +266,11 @@ def sigma_deficit_sup(
     lip = 2.0 * math.pi * max(abs(fmin), abs(fmax)) * 2.0 * mu.total_variation
 
     def evaluate(G):
-        return np.abs(fourier_grid(mu, G) * (1.0 - sigma_hat_grid(S_prev, n, G)))
+        vals = fourier_grid(mu, G)
+        deficit = sigma_hat_grid(S_prev, n, G)
+        np.subtract(1.0, deficit, out=deficit)
+        vals *= deficit
+        return np.abs(vals)
 
     bracket = bracket_sup(
         evaluate, degree, lip, tol, grid_cap=grid_cap, label="sigma_deficit_sup"

@@ -50,6 +50,7 @@ __all__ = [
 
 _BOUNDARY_BAND = 1e-9  # float floors this close to an integer get a recheck
 _ROTATED_VARIANTS = ("quadratic", "linear")
+_FIRST_BLOCK = 1024  # sites a perturbed family computes on its first call
 
 
 @dataclass(frozen=True)
@@ -150,21 +151,22 @@ class RhoSpec:
             out = np.floor(np.power(karr.astype(np.float64), float(self.param)) + 1e-12)
             out = out.astype(np.int64)
             kmax, tmax = int(karr.max(initial=1)), int(out.max(initial=1)) + 2
-            if kmax**p < 2**62 and tmax**q < 2**62:
-                # floor(k^(p/q)) = r  <=>  r^q <= k^p < (r+1)^q, all in int64; the
-                # float guess is off by at most 1, so one round each way settles it
-                kp = karr**p
-                out[(out + 1) ** q <= kp] += 1
-                out[out**q > kp] -= 1
-                unsettled = ((out + 1) ** q <= kp) | (out**q > kp)
-            else:
-                unsettled = np.ones(len(karr), dtype=bool)
+            if not (kmax**p < 2**62 and tmax**q < 2**62):
+                karr, out = karr.astype(object), out.astype(object)  # Python ints
+            # floor(k^(p/q)) = r  <=>  r^q <= k^p < (r+1)^q, in int64 where it
+            # fits; the float guess is off by at most 1, so one round each way
+            # settles it
+            kp = karr**p
+            out[(out + 1) ** q <= kp] += 1
+            out[out**q > kp] -= 1
+            unsettled = ((out + 1) ** q <= kp) | (out**q > kp)
         else:
             t = self.value(karr.astype(np.float64))
             out = np.floor(t).astype(np.int64)
             unsettled = np.abs(t - np.round(t)) < _BOUNDARY_BAND
         for i in np.nonzero(unsettled)[0]:
             out[i] = self.floor_at_sqrt(int(karr[i]) ** 2)
+        out = out.astype(np.int64, copy=False)
         return out if np.ndim(k) else int(out[0])
 
     def floor_at(self, x: float) -> int:
@@ -255,12 +257,17 @@ def rho_constant(c0: float) -> RhoSpec:
 # -- measure generators ------------------------------------------------------
 
 
+def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
+    N = len(sites)
+    return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+
+
 def squares_measure(n: int) -> WeightedMeasure:
     """nu_n: the uniform probability measure on {1^2, ..., n^2}."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=np.int64)
-    return _from_arrays(k * k, np.full(n, 1.0 / n, dtype=np.complex128))
+    return _uniform_on(k * k)
 
 
 def rotated_squares_measure(n: int, variant: str = "quadratic") -> WeightedMeasure:
@@ -275,13 +282,17 @@ def rotated_squares_measure(n: int, variant: str = "quadratic") -> WeightedMeasu
     return _from_arrays(k * k, phases / n)
 
 
+def _perturbed_sites(rho: RhoSpec, k_lo: int, k_hi: int) -> np.ndarray:
+    """Sites k^2 + floor(rho(k)) for k_lo <= k < k_hi."""
+    k = np.arange(k_lo, k_hi, dtype=np.int64)
+    return k * k + rho.floor_at_int(k)
+
+
 def perturbed_squares_measure(rho: RhoSpec, N: int) -> WeightedMeasure:
     """(1/N) sum_{k<=N} delta_{k^2 + floor(rho(k))}; colliding atoms merge."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = np.arange(1, N + 1, dtype=np.int64)
-    sites = k * k + rho.floor_at_int(k)
-    return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+    return _uniform_on(_perturbed_sites(rho, 1, N + 1))
 
 
 @dataclass(frozen=True)
@@ -312,11 +323,25 @@ def rotated_family(variant: str = "quadratic") -> MeasureFamily:
 
 
 def perturbed_family(rho: RhoSpec) -> MeasureFamily:
+    """mu_n = perturbed_squares_measure(rho, n), read off one site array that
+    grows by doubling, so a scan over n computes each floor once."""
+    sites = np.empty(0, dtype=np.int64)
+
+    def prefix(n: int) -> np.ndarray:
+        nonlocal sites
+        if n < 1:
+            raise ValueError("N must be >= 1")
+        if n > len(sites):
+            size = max(n, 2 * len(sites), _FIRST_BLOCK)
+            sites = np.concatenate([sites, _perturbed_sites(rho, len(sites) + 1, size + 1)])
+            sites.flags.writeable = False  # measures share its prefixes
+        return sites[:n]
+
     # sites k^2 + floor(rho(k)) are increasing in k, so the radius is the last site
     return MeasureFamily(
         f"perturbed:{rho.descriptor()}",
-        lambda n: perturbed_squares_measure(rho, n),
-        lambda n: n * n + int(rho.floor_at_int(n)),
+        lambda n: _uniform_on(prefix(n)),
+        lambda n: prefix(n)[-1],
     )
 
 

@@ -188,8 +188,9 @@ def _from_arrays(sites: np.ndarray, weights: np.ndarray) -> WeightedMeasure:
             np.add.at(merged, inverse, weights)
             sites, weights = uniq, merged
     keep = weights != 0
-    sites = sites[keep]
-    weights = weights[keep]
+    if not keep.all():
+        sites = sites[keep]
+        weights = weights[keep]
     return WeightedMeasure(sites, weights, _total_variation(weights))
 
 
@@ -242,10 +243,13 @@ def fourier_at(mu: WeightedMeasure, gamma) -> complex:
 
 def _fold_mod(mu: WeightedMeasure, G: int) -> np.ndarray:
     """Weights folded onto residues mod G; exact because e(j*m/G) has period G in j."""
-    idx = np.mod(mu.sites, G)
-    folded_re = np.bincount(idx, weights=mu.weights.real, minlength=G)
-    folded_im = np.bincount(idx, weights=mu.weights.imag, minlength=G)
-    return folded_re + 1j * folded_im
+    # for G = 2^k the mask is the mod, negative sites included (two's complement)
+    idx = mu.sites & (G - 1) if G & (G - 1) == 0 else np.mod(mu.sites, G)
+    folded = np.empty(G, dtype=np.complex128)
+    folded.real = np.bincount(idx, weights=mu.weights.real, minlength=G)
+    imag = mu.weights.imag
+    folded.imag = np.bincount(idx, weights=imag, minlength=G) if imag.any() else 0.0
+    return folded
 
 
 def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
@@ -259,12 +263,27 @@ def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
         raise ValueError("grid size must be >= 2")
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
-    return np.fft.ifft(_fold_mod(mu, G)) * G
+    vals = np.fft.ifft(_fold_mod(mu, G))
+    vals *= G
+    return vals
+
+
+def _one_minus_e(G: int) -> np.ndarray:
+    """1 - e(m/G) for m = 0..G-1, computed in place."""
+    factor = (2j * math.pi) * (np.arange(G) / G)
+    np.exp(factor, out=factor)
+    return np.subtract(1.0, factor, out=factor)
+
+
+_ONE_MINUS_E_COARSE = _one_minus_e(_COARSE_GRID)
+_ONE_MINUS_E_COARSE.flags.writeable = False
 
 
 def _triviality_on_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
-    gam = np.arange(G) / G
-    return np.abs((1.0 - np.exp((2j * math.pi) * gam)) * fourier_grid(mu, G))
+    vals = fourier_grid(mu, G)
+    factor = _ONE_MINUS_E_COARSE if G == _COARSE_GRID else _one_minus_e(G)
+    np.multiply(factor, vals, out=vals)
+    return np.abs(vals)
 
 
 def _degree_and_lipschitz(mu: WeightedMeasure) -> tuple[int, float]:

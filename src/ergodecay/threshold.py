@@ -346,6 +346,8 @@ def residue_density(
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
+    if min(N_list) < 1:
+        raise ConfigError(f"every N must be >= 1, got {min(N_list)}")
     r_values = tuple(int(rho.floor_at(window * N)) % Q for N in N_list)
     classes: dict[int, list[int]] = {}
     for N, r in zip(N_list, r_values):

@@ -136,6 +136,14 @@ def test_residues_bad_window_exit_2(tmp_path):
         assert rc == 2
 
 
+def test_residues_N_below_1_exit_2(tmp_path):
+    for n_list in ("0", "-5"):
+        rc, out = run(tmp_path, "r.csv", "residues", "--rho", "log:1", "--q", "15",
+                      "--n-list", n_list)
+        assert rc == 2
+        assert not out.exists()
+
+
 def test_dynsys_trace_csv(tmp_path):
     rc, out = run(
         tmp_path, "d.csv", "dynsys-trace",

@@ -243,6 +243,20 @@ def test_sigma_hat_closed_form_matches_measure():
         assert closed[0] == pytest.approx(1.0)
 
 
+def test_sigma_hat_grid_bit_identical_to_formula():
+    # the closed form as written, one temporary per operation
+    for S_prev, n, G in ((0, 1, 64), (3, 2, 1000), (6, 3, 4096), (20, 1, 1 << 14)):
+        M = 1 << (S_prev + n)
+        m = np.arange(G, dtype=np.int64)
+        num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
+        den = M * np.sin(np.pi * m / G)
+        phase = np.exp(2j * np.pi * (((M + 1) * m) % (2 * G)) / (2 * G))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = phase * num / np.where(den == 0.0, 1.0, den)
+        want[0] = 1.0
+        assert sigma_hat_grid(S_prev, n, G).tobytes() == want.tobytes(), (S_prev, n, G)
+
+
 def test_sigma_deficit_delta0_vs_grid_oracle():
     report = sigma_deficit_sup(point_mass(0), 0, 1, 1e-6)
     br = report["bracket"]

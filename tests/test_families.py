@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +72,16 @@ def test_log_floor_boundary_recheck():
     assert rho.floor_at(x_lo) == 2
 
 
+def test_log_floor_recheck_overrules_the_float_pass():
+    # x just below e^40 - 1, so log(1 + x) is just below 40; the float pass
+    # rounds it to 40 and only the 60-digit recheck finds 39
+    with mpmath.workdps(60):
+        x = Fraction(int(mpmath.floor((mpmath.e**40 - 1) * 10**30)), 10**30)
+    u = x * x
+    assert math.floor(math.log1p(math.sqrt(u))) == 40
+    assert rho_log(1.0).floor_at_sqrt(u) == 39
+
+
 def test_floor_at_sqrt_matches_direct():
     rho = rho_power(Fraction(1, 4))
     for l in [1, 255, 256, 257, 65535, 65536, 65537]:
@@ -139,6 +150,23 @@ def test_floor_beyond_the_int64_and_float_ranges():
     assert rho_power(Fraction(1, 4)).floor_at(1e200) == exact_power_floor(Fraction(1, 4), 1e200)
     assert rho_log(1.0).floor_at(1e200) == 460  # log(1 + 1e200) = 460.517...
     assert rho_log_power(1.5).floor_at(1e300) == 18155  # 690.7755...^1.5 = 18155.38...
+
+
+def test_floor_past_int64_corrects_every_element_exactly():
+    # k^3 passes 2^62 here, so the one-step correction runs on Python ints.
+    # Exact floors are nondecreasing, so matching the oracle at both ends of
+    # every constant run pins every element of the range.
+    rho = rho_power(Fraction(3, 10))
+    ks = np.arange(1_700_000, 1_900_000, dtype=np.int64)
+    floors = rho.floor_at_int(ks)
+    assert floors.dtype == np.int64
+    edges = np.nonzero(np.diff(floors))[0] + 1
+    assert len(edges) == 3  # k^(3/10) runs from 73.98 to 76.49
+    for i in sorted({0, len(ks) - 1, *(int(e) + d for e in edges for d in (-1, 0))}):
+        assert floors[i] == exact_power_floor(rho.param, int(ks[i])), int(ks[i])
+    # (floor + 2)^1000 is never an int64, whatever k
+    ones = rho_power(Fraction(1, 1000)).floor_at_int(np.arange(1, 5001, dtype=np.int64))
+    assert ones.dtype == np.int64 and ones.tolist() == [1] * 5000
 
 
 def test_floor_at_rejects_negative_and_non_finite():
@@ -258,6 +286,26 @@ def test_support_radius_examples():
     for fam2 in (squares_family(), fam, rotated_family("linear")):
         for n in (1, 5, 33):
             assert fam2.support_radius(n) == fam2.measure(n).support_radius
+
+
+@pytest.mark.parametrize("rho", [rho_power(Fraction(1, 4)), rho_power(Fraction(3, 10)), rho_log(1.0)])
+def test_perturbed_family_prefix_cache_matches_direct_build(rho):
+    fam = perturbed_family(rho)
+    # across the cache's growth points (1024, 2048, 4096, ...), downwards, and
+    # a jump past twice the cached size
+    for n in (1, 2, 1023, 1024, 1025, 5, 2047, 2048, 2049, 300, 4097, 12_000, 4096, 1):
+        mu, want = fam.measure(n), perturbed_squares_measure(rho, n)
+        assert mu.sites.tobytes() == want.sites.tobytes(), n
+        assert mu.weights.tobytes() == want.weights.tobytes(), n
+        assert mu.total_variation == want.total_variation, n
+        assert fam.support_radius(n) == n * n + rho.floor_at_int(n), n
+    # a fresh family whose first call is large
+    assert perturbed_family(rho).measure(5000) == perturbed_squares_measure(rho, 5000)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            fam.measure(bad)
+        with pytest.raises(ValueError):
+            fam.support_radius(bad)
 
 
 # -- descriptors -------------------------------------------------------------------

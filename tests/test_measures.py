@@ -26,6 +26,7 @@ from ergodecay import (
     triviality_sup,
     write_fourier_csv,
 )
+from ergodecay.measures import _fold_mod, _triviality_on_grid
 from helpers import uniform_zero_based_family
 
 
@@ -202,6 +203,32 @@ def test_grid_matches_pointwise():
     got = fourier_grid(nu, 64)
     for m in (0, 1, 13, 63):
         assert got[m] == pytest.approx(fourier_at(nu, Fraction(m, 64)), abs=1e-10)
+
+
+def reference_fold(mu, G):
+    idx = np.mod(mu.sites, G)
+    re = np.bincount(idx, weights=mu.weights.real, minlength=G)
+    im = np.bincount(idx, weights=mu.weights.imag, minlength=G)
+    return re + 1j * im
+
+
+FOLD_CASES = [
+    make_measure([(-9, 0.5), (-4096, 0.25), (4095, -1.0), (3, 2.0), (-1, 0.125)]),  # real weights
+    make_measure([(-9, 0.5 - 2j), (-4096, 1j), (4095, -1.0), (3, -0.5 + 0.25j)]),  # complex
+    squares_measure(300),
+    rotated_squares_measure(300),
+]
+
+
+@pytest.mark.parametrize("G", [2, 1000, 3 * 1024, 4095, 4096, 8192])
+def test_fold_and_grids_bit_identical_to_reference(G):
+    for mu in FOLD_CASES:
+        fold = _fold_mod(mu, G)
+        assert fold.tobytes() == reference_fold(mu, G).tobytes(), G
+        grid = np.fft.ifft(reference_fold(mu, G)) * G
+        assert fourier_grid(mu, G).tobytes() == grid.tobytes(), G
+        factor = 1.0 - np.exp((2j * math.pi) * (np.arange(G) / G))
+        assert _triviality_on_grid(mu, G).tobytes() == np.abs(factor * grid).tobytes(), G
 
 
 # -- triviality_sup -----------------------------------------------------------

@@ -264,6 +264,13 @@ def test_residue_density_rejects_bad_window():
                 residue_density(rho, 15, [1000], window=window)
 
 
+def test_residue_density_rejects_N_below_1():
+    for rho in (RHO4, rho_log(1.0)):
+        for N_list in ([0], [-5], [1000, 0]):
+            with pytest.raises(ConfigError):
+                residue_density(rho, 15, N_list)
+
+
 def test_residue_density_constant_matches_enumeration():
     N = 10**5
     prof = residue_density(rho_constant(0.0), 15, [N])
