@@ -24,7 +24,6 @@ from .measures import (
     bracket_sup,
     convolve,
     fourier_grid,
-    make_measure,
     triviality_sup,
 )
 
@@ -69,25 +68,32 @@ class DyadicInterval:
 class CZDecomposition:
     lam: float
     good: WeightedMeasure
-    bad: tuple  # ((DyadicInterval, WeightedMeasure), ...)
-    selected: tuple  # (DyadicInterval, ...)
+    bad_sum: WeightedMeasure  # sum of the b_{s,k}; their supports are disjoint
+    selected: tuple  # (DyadicInterval, ...), sorted by start
 
     @property
     def carleson_sum(self) -> int:
         return sum(q.length for q in self.selected)
 
+    @property
+    def bad(self) -> tuple:
+        """((DyadicInterval, b_{s,k}), ...): bad_sum cut at the selected intervals."""
+        b = self.bad_sum
+        cuts = np.searchsorted(b.sites, [[q.start, q.stop] for q in self.selected])
+        return tuple(
+            (q, _from_arrays(b.sites[i:j], b.weights[i:j]))
+            for q, (i, j) in zip(self.selected, cuts.tolist())
+        )
+
     def bad_by_scale(self) -> dict:
         """b_s = sum_k b_{s,k} grouped by scale."""
-        out: dict[int, list] = {}
-        for q, b in self.bad:
-            out.setdefault(q.s, []).append(b)
+        pieces = self.bad
         return {
-            s: make_measure(
-                (int(site), w)
-                for b in parts
-                for site, w in zip(b.sites.tolist(), b.weights)
+            s: _from_arrays(
+                np.concatenate([b.sites for q, b in pieces if q.s == s]),
+                np.concatenate([b.weights for q, b in pieces if q.s == s]),
             )
-            for s, parts in out.items()
+            for s in dict.fromkeys(q.s for q in self.selected)
         }
 
 
@@ -99,66 +105,67 @@ def cz_decompose(phi: WeightedMeasure, lam: float) -> CZDecomposition:
     On each, b = phi - mean(phi over Q) and g = that mean; off the union,
     g = phi.  All block arithmetic is plain binary floating point, which is
     exact whenever the input values are dyadic rationals of moderate size.
+
+    The tree of |phi|-sums holds only the dyadic intervals that meet the
+    support (parent key = child key >> 1, an absent child adds 0), so the
+    work follows the atoms, not their span.  g and sum b are one measure each.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if phi.n_atoms == 0:
         raise ValueError("phi must not be identically zero")
-    tv = phi.total_variation
 
     s_top = 0
-    while (1 << s_top) * lam < tv:
+    while (1 << s_top) * lam < phi.total_variation:
         s_top += 1
         if s_top > _MAX_TOP_SCALE:
             raise ResourceCapError(
                 f"cz_decompose: lambda={lam:g} needs top scale > {_MAX_TOP_SCALE}"
             )
 
-    lo = int(phi.sites[0])
-    hi = int(phi.sites[-1])
-    A = (lo >> s_top) << s_top
-    B = ((hi >> s_top) + 1) << s_top
-    W = B - A
-    dense = np.zeros(W, dtype=np.complex128)
-    dense[phi.sites - A] = phi.weights
-
-    abs_sums = [np.abs(dense)]
-    for _ in range(s_top):
-        prev = abs_sums[-1]
-        abs_sums.append(prev[0::2] + prev[1::2])
-
     # top-scale intervals have average <= tv / 2^s_top <= lam: never selected,
     # so descending from s_top-1 finds exactly the maximal intervals.
-    selected: list[DyadicInterval] = []
-    covered = np.zeros(W >> s_top, dtype=bool)
+    keys, sums, ups = [phi.sites], [np.abs(phi.weights)], []
+    for _ in range(s_top - 1):
+        parents, up = np.unique(keys[-1] >> 1, return_inverse=True)
+        halves = np.zeros((2, len(parents)))  # left and right child sums
+        halves[keys[-1] & 1, up] = sums[-1]
+        keys.append(parents)
+        sums.append(halves[0] + halves[1])
+        ups.append(up)
+
+    selected = []
+    covered = np.zeros(len(keys[-1]), dtype=bool)
     for s in range(s_top - 1, -1, -1):
-        covered = np.repeat(covered, 2)
-        mask = (abs_sums[s] > lam * (1 << s)) & ~covered
-        for i in np.nonzero(mask)[0]:
-            selected.append(DyadicInterval(s, (A >> s) + int(i)))
-        covered |= mask
+        mask = (sums[s] > lam * (1 << s)) & ~covered
+        selected += [DyadicInterval(s, k) for k in keys[s][mask].tolist()]
+        covered = (covered | mask)[ups[s - 1]] if s else None  # onto children
+    selected.sort(key=lambda q: q.start)
 
-    selected.sort(key=lambda q: (q.start, q.s))
-    good_dense = dense.copy()
-    bad = []
-    for q in selected:
-        off = q.start - A
-        block = dense[off : off + q.length]
-        mean = _csum(block) / q.length
-        sites = np.arange(q.start, q.stop, dtype=np.int64)
-        bad.append((q, _from_arrays(sites, block - mean)))
-        good_dense[off : off + q.length] = mean
-
-    good = _from_arrays(np.arange(A, B, dtype=np.int64), good_dense)
-    return CZDecomposition(lam, good, tuple(bad), tuple(selected))
+    starts = np.array([q.start for q in selected], dtype=np.int64)
+    lengths = np.array([q.length for q in selected], dtype=np.int64)
+    bounds = np.searchsorted(phi.sites, [starts, starts + lengths]).T.tolist()
+    means = [_csum(phi.weights[i:j]) / q.length for q, (i, j) in zip(selected, bounds)]
+    # every site of every selected interval in order, with phi and the mean there
+    span = np.arange(int(lengths.sum()), dtype=np.int64)
+    span += np.repeat(starts + lengths - np.cumsum(lengths), lengths)
+    inside = np.isin(phi.sites, span)
+    on_span = np.zeros(len(span), dtype=np.complex128)
+    on_span[np.searchsorted(span, phi.sites[inside])] = phi.weights[inside]
+    mean_on_span = np.repeat(means, lengths)
+    good = _from_arrays(
+        np.concatenate([phi.sites[~inside], span]),
+        np.concatenate([phi.weights[~inside], mean_on_span]),
+    )
+    bad_sum = _from_arrays(span, on_span - mean_on_span)
+    return CZDecomposition(lam, good, bad_sum, tuple(selected))
 
 
 def cz_report(phi: WeightedMeasure, dec: CZDecomposition) -> dict:
     """Invariant summary used by the cz-check CLI subcommand."""
-    pieces = [dec.good, *(b for _, b in dec.bad)]
     residual = _from_arrays(
-        np.concatenate([m.sites for m in pieces] + [phi.sites]),
-        np.concatenate([m.weights for m in pieces] + [-phi.weights]),
+        np.concatenate([dec.good.sites, dec.bad_sum.sites, phi.sites]),
+        np.concatenate([dec.good.weights, dec.bad_sum.weights, -phi.weights]),
     )
     err = float(np.max(np.abs(residual.weights), initial=0.0))
     g_inf = float(np.max(np.abs(dec.good.weights))) if dec.good.n_atoms else 0.0
@@ -284,16 +291,6 @@ def sigma_deficit_sup(
     }
 
 
-def _measure_sub(a: WeightedMeasure, b: WeightedMeasure) -> WeightedMeasure:
-    sites = np.concatenate([a.sites, b.sites])
-    weights = np.concatenate([a.weights, -b.weights])
-    return _from_arrays(sites, weights)
-
-
-def _l1(mu: WeightedMeasure) -> float:
-    return mu.total_variation
-
-
 def _l2sq(mu: WeightedMeasure) -> float:
     return float(math.fsum(np.abs(mu.weights) ** 2))
 
@@ -323,27 +320,30 @@ def e1_e2_diagnostics(
         n_k = state.chosen[k - 1]
         S_prev = state.S_values[k - 2]
         scales = sorted(s for s in by_scale if s < S_prev and by_scale[s].n_atoms > 0)
-        B = make_measure(
-            (int(site), w)
-            for s in scales
-            for site, w in zip(by_scale[s].sites.tolist(), by_scale[s].weights)
-        )
         mu = family.measure(n_k)
         sigma = sigma_n(S_prev, k, size_cap=sigma_cap)
         row = {"k": k, "n": n_k, "S_prev": S_prev, "scales": scales}
-        if B.n_atoms == 0:
+        if not scales:  # B below is 0
             row.update(
                 {"e1_value": 0.0, "e1_bound": 0.0, "e2_value": 0.0,
                  "e2_bound_actual": 0.0, "e2_bound_paper": 0.0}
             )
             rows.append(row)
             continue
-        mu_sigma = convolve(mu, sigma)
-        e1_value = _l1(convolve(mu_sigma, B))
-        e1_bound = sum(
-            2.0 ** (-S_prev - k + s + 1) * _l1(by_scale[s]) for s in scales
+        B = _from_arrays(
+            np.concatenate([by_scale[s].sites for s in scales]),
+            np.concatenate([by_scale[s].weights for s in scales]),
         )
-        e2_value = _l2sq(convolve(_measure_sub(mu, mu_sigma), B))
+        mu_sigma = convolve(mu, sigma)
+        e1_value = convolve(mu_sigma, B).total_variation
+        e1_bound = sum(
+            2.0 ** (-S_prev - k + s + 1) * by_scale[s].total_variation for s in scales
+        )
+        mu_minus = _from_arrays(
+            np.concatenate([mu.sites, mu_sigma.sites]),
+            np.concatenate([mu.weights, -mu_sigma.weights]),
+        )
+        e2_value = _l2sq(convolve(mu_minus, B))
         triv = triviality_sup(mu, sup_tol)
         deficit_inf = (2.0 ** (S_prev + k)) * triv.upper
         sum_b_l2 = sum(_l2sq(by_scale[s]) for s in scales)

@@ -263,7 +263,8 @@ def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
         raise ValueError("grid size must be >= 2")
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
-    vals = np.fft.ifft(_fold_mod(mu, G))
+    folded = _fold_mod(mu, G)
+    vals = np.fft.ifft(folded, out=folded)  # in place: no second G-point array
     vals *= G
     return vals
 

@@ -1,11 +1,13 @@
 """Shared test fixtures: families that genuinely satisfy the selection
-inequality at small indices, and dyadic-valued random functions for which
-all block arithmetic is exact in binary floating point."""
+inequality at small indices, dyadic-valued random functions for which
+all block arithmetic is exact in binary floating point, and the dense
+Calderon-Zygmund decomposition that ``cz_decompose`` is checked against."""
 
 import numpy as np
 
 from ergodecay import MeasureFamily, ResourceCapError, make_measure, point_mass
-from ergodecay.measures import _from_arrays
+from ergodecay.czmax import DyadicInterval
+from ergodecay.measures import _csum, _from_arrays
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
 
@@ -48,3 +50,43 @@ def dyadic_phi(rng, span=256, n=24):
     vals = rng.integers(-(1 << 16), 1 << 16, size=n) / 256.0
     phi = make_measure(zip(sites.tolist(), vals))
     return phi if phi.n_atoms else point_mass(0)
+
+
+def dense_cz_decompose(phi, lam):
+    """Reference Calderon-Zygmund decomposition over the dense window [A, B).
+
+    The stopping rule of ``cz_decompose`` run on arrays as wide as the
+    support's span, with one measure per selected interval.  Returns
+    ``(selected, good, bad)`` with ``bad`` as ((DyadicInterval, b), ...).
+    """
+    tv = phi.total_variation
+    s_top = 0
+    while (1 << s_top) * lam < tv:
+        s_top += 1
+    A = (int(phi.sites[0]) >> s_top) << s_top
+    B = ((int(phi.sites[-1]) >> s_top) + 1) << s_top
+    dense = np.zeros(B - A, dtype=np.complex128)
+    dense[phi.sites - A] = phi.weights
+    abs_sums = [np.abs(dense)]
+    for _ in range(s_top):
+        prev = abs_sums[-1]
+        abs_sums.append(prev[0::2] + prev[1::2])
+    selected = []
+    covered = np.zeros((B - A) >> s_top, dtype=bool)
+    for s in range(s_top - 1, -1, -1):
+        covered = np.repeat(covered, 2)
+        mask = (abs_sums[s] > lam * (1 << s)) & ~covered
+        selected += [DyadicInterval(s, (A >> s) + int(i)) for i in np.nonzero(mask)[0]]
+        covered |= mask
+    selected.sort(key=lambda q: (q.start, q.s))
+    good_dense = dense.copy()
+    bad = []
+    for q in selected:
+        off = q.start - A
+        block = dense[off : off + q.length]
+        mean = _csum(block) / q.length
+        sites = np.arange(q.start, q.stop, dtype=np.int64)
+        bad.append((q, _from_arrays(sites, block - mean)))
+        good_dense[off : off + q.length] = mean
+    good = _from_arrays(np.arange(A, B, dtype=np.int64), good_dense)
+    return tuple(selected), good, tuple(bad)

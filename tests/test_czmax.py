@@ -22,7 +22,7 @@ from ergodecay import (
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
 from ergodecay.measures import convolve
 
-from helpers import dyadic_phi, uniform_dyadic_family
+from helpers import dense_cz_decompose, dyadic_phi, uniform_dyadic_family
 
 
 def brute_maximal_intervals(phi, lam, s_max=None):
@@ -99,10 +99,10 @@ def test_cz_report_measures_injected_reconstruction_error():
     assert cz_report(phi, replace(dec, good=good))["reconstruction_error"] == 0.375
     # a site only in phi
     assert cz_report(plus(phi, far, -0.625), dec)["reconstruction_error"] == 0.625
-    # a site inside a selected interval, off by one bad piece
-    q, b = dec.bad[0]
-    bad = ((q, plus(b, q.start, 0.125)),) + dec.bad[1:]
-    assert cz_report(phi, replace(dec, bad=bad))["reconstruction_error"] == 0.125
+    # a site inside a selected interval, off in the sum of the bad pieces
+    q = dec.selected[0]
+    off = replace(dec, bad_sum=plus(dec.bad_sum, q.start, 0.125))
+    assert cz_report(phi, off)["reconstruction_error"] == 0.125
 
 
 def test_cz_matches_brute_oracle_on_corpus():
@@ -115,6 +115,73 @@ def test_cz_matches_brute_oracle_on_corpus():
             assert sorted((q.s, q.k) for q in dec.selected) == brute_maximal_intervals(
                 phi, lam
             )
+
+
+def _same_measure(a, b):
+    return (
+        a.sites.tobytes() == b.sites.tobytes()
+        and a.weights.tobytes() == b.weights.tobytes()
+        and a.total_variation == b.total_variation
+    )
+
+
+def _tie_lambdas(phi):
+    """Averages of |phi| over dyadic blocks at the largest atom, exact for
+    dyadic values: lambda equal to a block average, which is not selected."""
+    site = int(phi.sites[np.argmax(np.abs(phi.weights))])
+    out = []
+    for s in (1, 2, 3):
+        start = (site >> s) << s
+        inside = (phi.sites >= start) & (phi.sites < start + (1 << s))
+        out.append(float(np.sum(np.abs(phi.weights[inside]))) / (1 << s))
+    return out
+
+
+def test_cz_matches_dense_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    sizes = rng.integers(1, 40, size=30).tolist()
+    corpus = [dyadic_phi(rng, span=64 << (i % 6), n=n) for i, n in enumerate(sizes)]
+    for _ in range(30):  # non-dyadic complex weights: the block means round
+        n = int(rng.integers(1, 40))
+        sites = rng.integers(-3000, 3000, size=n).tolist()
+        weights = rng.normal(size=n) + 1j * rng.normal(size=n)
+        corpus.append(make_measure(zip(sites, weights)))
+    for phi in corpus:
+        top, tv = float(np.max(np.abs(phi.weights))), phi.total_variation
+        lams = [top / 2, top / 8, tv / 64, tv / 1024] + _tie_lambdas(phi)
+        for lam in lams:
+            dec = cz_decompose(phi, lam)
+            selected, good, bad = dense_cz_decompose(phi, lam)
+            assert dec.selected == selected
+            assert _same_measure(dec.good, good)
+            assert len(dec.bad) == len(bad)
+            for (q, b), (q_ref, b_ref) in zip(dec.bad, bad):
+                assert q == q_ref and _same_measure(b, b_ref)
+    for phi in corpus[:30]:  # dyadic values: the tie lambdas are exact averages
+        site = int(phi.sites[np.argmax(np.abs(phi.weights))])
+        for s, lam in zip((1, 2, 3), _tie_lambdas(phi)):
+            assert DyadicInterval(s, site >> s) not in cz_decompose(phi, lam).selected
+
+
+def test_cz_tie_at_lambda_not_selected():
+    phi = make_measure([(0, 3.0), (1, 1.0), (5, 0.5)])
+    dec = cz_decompose(phi, 2.0)  # average over [0, 2) is exactly 2.0
+    assert [(q.s, q.k) for q in dec.selected] == brute_maximal_intervals(phi, 2.0)
+    assert brute_maximal_intervals(phi, 2.0) == [(0, 0)]
+
+
+def test_cz_far_apart_atoms_need_no_dense_window():
+    # A window over [0, 2^40 + 2) would be 16 TiB of complex128; the tree holds
+    # at most two nodes per level.
+    far = 1 << 40
+    phi = make_measure([(0, 3.0), (far + 1, 1.0)])
+    dec = cz_decompose(phi, 0.5)  # tv = 4, so the top scale is 3
+    # [0, 4) has average 3/4 > 0.5 and [0, 8) has 3/8; at the far atom only
+    # the single point {far + 1} has average above 0.5
+    assert [(q.s, q.k) for q in dec.selected] == [(2, 0), (0, far + 1)]
+    assert dec.good == make_measure([(x, 0.75) for x in range(4)] + [(far + 1, 1.0)])
+    assert dec.bad_sum == make_measure([(0, 2.25), (1, -0.75), (2, -0.75), (3, -0.75)])
+    assert cz_report(phi, dec)["reconstruction_error"] == 0.0
 
 
 def _check_invariants(phi, lam, dec):

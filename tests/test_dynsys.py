@@ -20,6 +20,7 @@ from ergodecay import (
     weighted_average,
     weyl_sum,
 )
+from ergodecay.dynsys import _rotation_fractions
 from helpers import uniform_dyadic_family
 
 
@@ -192,3 +193,61 @@ def test_trace_osc_tail_is_pairwise_tail_diameter(sys_, f):
                 default=0.0,
             )
             assert r["osc_tail"] == brute
+
+
+# -- rotation orbit kernel ---------------------------------------------------------
+
+
+def _exact_fractions(sys_, x, sites, mult=1):
+    """mult*(x + j*alpha) mod 1 as an exact Fraction, rounded once per site."""
+    alpha = Fraction(sys_.alpha_num, sys_.alpha_den)
+    out = []
+    for j in sites.tolist():
+        v = (mult * (x + j * alpha)) % 1
+        out.append(v.numerator / v.denominator)
+    return np.array(out, dtype=np.float64)
+
+
+_ORBIT_SITES = np.array(
+    [0, 1, -1, 2, -7, 12345, -(1 << 40) - 3, (1 << 40) + 5, (1 << 53) - 1, -(1 << 53)]
+    + [k * k + 3 * k for k in range(-200, 200, 7)],
+    dtype=np.int64,
+)
+
+
+@pytest.mark.parametrize("mult", [-3, 0, 1, 5])
+def test_rotation_orbit_golden_bit_identical(mult):
+    sys_ = golden_rotation()
+    for k in (0, 1, 2, 3, 1 << 31, (1 << 32) - 1, 0x9E3779B9):
+        x = Fraction(k, 1 << 32)  # the convergence_trace samples
+        got = _rotation_fractions(sys_, x, _ORBIT_SITES, mult)
+        assert got.tobytes() == _exact_fractions(sys_, x, _ORBIT_SITES, mult).tobytes()
+
+
+@pytest.mark.parametrize("mult", [-3, 0, 1, 5])
+def test_rotation_orbit_general_denominator_bit_identical(mult):
+    # D = lcm(7, 3) = 21 is not a power of two: the Python-int path
+    sys_ = rotation_system(Fraction(3, 7))
+    x = Fraction(1, 3)
+    got = _rotation_fractions(sys_, x, _ORBIT_SITES, mult)
+    assert got.tobytes() == _exact_fractions(sys_, x, _ORBIT_SITES, mult).tobytes()
+
+
+@pytest.mark.parametrize(
+    "f", [trig_function(5), indicator_function(0.1, 0.4), indicator_function(0.8, 0.3)]
+)
+def test_weighted_average_golden_matches_exact_orbit(f):
+    sys_ = golden_rotation()
+    weights = np.linspace(-1.0, 2.0, len(_ORBIT_SITES))
+    mu = make_measure(zip(_ORBIT_SITES.tolist(), weights))
+    x = Fraction(0x9E3779B9, 1 << 32)
+    if f.kind == "trig":
+        values = np.exp(2j * math.pi * _exact_fractions(sys_, x, mu.sites, f.m))
+    else:
+        pts = _exact_fractions(sys_, x, mu.sites)
+        if f.a <= f.b:
+            inside = (pts >= f.a) & (pts < f.b)
+        else:  # wrap-around interval
+            inside = (pts >= f.a) | (pts < f.b)
+        values = inside.astype(np.complex128)
+    assert weighted_average(sys_, f, mu, x) == complex(np.dot(mu.weights, values))
