@@ -19,6 +19,7 @@ from .czmax import (
     sigma_deficit_sup,
     sigma_n,
     weak11_ratio,
+    weak11_rows,
 )
 from .dynsys import (
     ObservedFunction,

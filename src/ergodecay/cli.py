@@ -2,8 +2,9 @@
 
 Each run writes its data file(s) plus a ``<out>.manifest.json`` echoing the
 config and library version (the manifest timestamp is the only field allowed
-to differ between identical runs).  Exit codes: 0 ok, 2 config error,
-3 selection stalled, 4 resource cap exceeded, 5 verification failure.
+to differ between identical runs).  Exit codes: 0 ok, 2 config error (a bad
+descriptor, or an argument out of range: a library ValueError), 3 selection
+stalled, 4 resource cap exceeded, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .czmax import (
-    cz_decompose,
-    cz_report,
-    default_lambda_grid,
-    maximal_function,
-    weak11_ratio,
-)
+from .czmax import cz_decompose, cz_report, maximal_function, weak11_ratio, weak11_rows
 from .dynsys import (
     convergence_trace,
     cyclic_system,
@@ -185,13 +180,7 @@ def cmd_maximal(args) -> int:
     measures = [family.measure(n) for n in _parse_int_list(args.indices)]
     rng = np.random.default_rng(args.seed)
     phi = _random_dyadic_phi(rng, span=args.phi_span, max_atoms=args.phi_atoms)
-    M = maximal_function(phi, measures)
-    vals = np.sort(np.abs(M.weights))
-    tv = phi.total_variation
-    rows = []
-    for lam in default_lambda_grid(phi):
-        count = len(vals) - int(np.searchsorted(vals, lam, side="right"))
-        rows.append((lam, count, lam * count / tv))
+    rows = weak11_rows(phi, maximal_function(phi, measures))
     _write_csv(args.out, ["lambda", "levelset_count", "ratio"], rows)
     _write_manifest(args.out, "maximal", _config_of(args))
     ratio = weak11_ratio(phi, measures)
@@ -202,6 +191,8 @@ def cmd_maximal(args) -> int:
 def cmd_weyl_audit(args) -> int:
     Ns = _parse_int_list(args.n)
     G = args.grid
+    if G < 1:
+        raise ConfigError(f"grid must be >= 1, got {G}")
     rows = [weyl_bound_audit(N, m / G) for N in Ns for m in range(G)]
     _write_csv(
         args.out,
@@ -417,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError: argument out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SelectionStalled as exc:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .measures import (
-    DEFAULT_GRID_CAP,
     SupBracket,
     WeightedMeasure,
     _csum,
@@ -33,6 +32,7 @@ __all__ = [
     "cz_decompose",
     "cz_report",
     "maximal_function",
+    "weak11_rows",
     "weak11_ratio",
     "sigma_n",
     "sigma_hat_grid",
@@ -209,18 +209,24 @@ def default_lambda_grid(phi: WeightedMeasure) -> list[float]:
     return lams
 
 
-def weak11_ratio(phi: WeightedMeasure, measures, lam_grid=None) -> float:
-    """max over lambda of lambda * #{x : M phi(x) > lambda} / ||phi||_1."""
-    M = maximal_function(phi, measures)
+def weak11_rows(phi: WeightedMeasure, M: WeightedMeasure, lam_grid=None) -> list:
+    """(lambda, #{x : M(x) > lambda}, lambda * count / ||phi||_1) per lambda,
+    for a maximal function M built from phi (default: dyadic lambda grid)."""
     vals = np.sort(np.abs(M.weights))
     tv = phi.total_variation
     if lam_grid is None:
         lam_grid = default_lambda_grid(phi)
-    best = 0.0
+    rows = []
     for lam in lam_grid:
         count = len(vals) - int(np.searchsorted(vals, lam, side="right"))
-        best = max(best, lam * count / tv)
-    return best
+        rows.append((lam, count, lam * count / tv))
+    return rows
+
+
+def weak11_ratio(phi: WeightedMeasure, measures, lam_grid=None) -> float:
+    """max over lambda of lambda * #{x : M phi(x) > lambda} / ||phi||_1."""
+    rows = weak11_rows(phi, maximal_function(phi, measures), lam_grid)
+    return max([0.0, *(ratio for _, _, ratio in rows)])
 
 
 def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
@@ -234,34 +240,36 @@ def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
     return _from_arrays(sites, np.full(M, 1.0 / M, dtype=np.complex128))
 
 
+_SIGMA_BLOCK = 1 << 20
+
+
 def sigma_hat_grid(S_prev: int, n: int, G: int) -> np.ndarray:
     """sigma_n_hat at gamma = m/G in closed form (no materialized support):
-    sigma_hat(gamma) = e((M+1)gamma/2) sin(pi M gamma) / (M sin(pi gamma))."""
+    sigma_hat(gamma) = e((M+1)gamma/2) sin(pi M gamma) / (M sin(pi gamma)).
+
+    Every step is elementwise, so it runs on blocks of 2^20 points written
+    into one output: at G = 2^25 only the 512 MB output is grid-sized."""
     M = 1 << (S_prev + n)
-    m = np.arange(G, dtype=np.int64)
-    num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
-    den = M * np.sin(np.pi * m / G)
-    den[den == 0.0] = 1.0
-    # the complex steps in place: at G = 2^25 each complex array is 512 MB
-    m *= M + 1
-    m %= 2 * G
-    vals = 2j * np.pi * m
-    vals /= 2 * G
-    np.exp(vals, out=vals)
-    vals *= num
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals /= den
+    vals = np.empty(G, dtype=np.complex128)
+    for start in range(0, G, _SIGMA_BLOCK):
+        m = np.arange(start, min(start + _SIGMA_BLOCK, G), dtype=np.int64)
+        num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
+        den = M * np.sin(np.pi * m / G)
+        den[den == 0.0] = 1.0
+        m *= M + 1
+        m %= 2 * G
+        block = 2j * np.pi * m
+        block /= 2 * G
+        np.exp(block, out=block)
+        block *= num
+        with np.errstate(invalid="ignore", divide="ignore"):
+            block /= den
+        vals[start : start + len(m)] = block
     vals[0] = 1.0
     return vals
 
 
-def sigma_deficit_sup(
-    mu: WeightedMeasure,
-    S_prev: int,
-    n: int,
-    tol: float,
-    grid_cap: int = DEFAULT_GRID_CAP,
-) -> dict:
+def sigma_deficit_sup(mu: WeightedMeasure, S_prev: int, n: int, tol: float) -> dict:
     """Bracket sup_gamma |mu_hat(gamma) (1 - sigma_n_hat(gamma))| and report the
     comparison chain 2^(S_prev+n) * triviality upper -> 2^(-S_prev-n)."""
     if mu.n_atoms == 0:
@@ -279,10 +287,8 @@ def sigma_deficit_sup(
         vals *= deficit
         return np.abs(vals)
 
-    bracket = bracket_sup(
-        evaluate, degree, lip, tol, grid_cap=grid_cap, label="sigma_deficit_sup"
-    )
-    triv = triviality_sup(mu, tol, grid_cap=grid_cap)
+    bracket = bracket_sup(evaluate, degree, lip, tol, label="sigma_deficit_sup")
+    triv = triviality_sup(mu, tol)
     return {
         "bracket": bracket,
         "triviality_upper": triv.upper,
@@ -295,14 +301,10 @@ def _l2sq(mu: WeightedMeasure) -> float:
     return float(math.fsum(np.abs(mu.weights) ** 2))
 
 
-def e1_e2_diagnostics(
-    phi: WeightedMeasure,
-    state,
-    family,
-    lam: float,
-    sup_tol: float = 1e-6,
-    sigma_cap: int = 1 << 22,
-) -> list[dict]:
+_E2_SUP_TOL = 1e-6  # bracket width of each selected measure's triviality sup
+
+
+def e1_e2_diagnostics(phi: WeightedMeasure, state, family, lam: float) -> list[dict]:
     """The two pathways of the weak-(1,1) argument, computed against their
     bounding chains for each selected index beyond the first.
 
@@ -321,7 +323,7 @@ def e1_e2_diagnostics(
         S_prev = state.S_values[k - 2]
         scales = sorted(s for s in by_scale if s < S_prev and by_scale[s].n_atoms > 0)
         mu = family.measure(n_k)
-        sigma = sigma_n(S_prev, k, size_cap=sigma_cap)
+        sigma = sigma_n(S_prev, k)
         row = {"k": k, "n": n_k, "S_prev": S_prev, "scales": scales}
         if not scales:  # B below is 0
             row.update(
@@ -344,7 +346,7 @@ def e1_e2_diagnostics(
             np.concatenate([mu.weights, -mu_sigma.weights]),
         )
         e2_value = _l2sq(convolve(mu_minus, B))
-        triv = triviality_sup(mu, sup_tol)
+        triv = triviality_sup(mu, _E2_SUP_TOL)
         deficit_inf = (2.0 ** (S_prev + k)) * triv.upper
         sum_b_l2 = sum(_l2sq(by_scale[s]) for s in scales)
         row.update(

@@ -14,6 +14,11 @@ a bare grid maximum: grid maxima are converted into true upper bounds using
 either the Lipschitz slack of the integrand or the equispaced-sampling bound
 for trigonometric polynomials (sup <= gridmax / cos(pi*d/G) for degree d and
 G > 2d sample points), whichever is sharper.
+
+One refinement policy (``_refine``) produces every certified bracket: the
+sup brackets of ``triviality_sup`` and ``czmax.sigma_deficit_sup`` (through
+``bracket_sup``) and the threshold decisions of ``certify_sup_below``.  They
+differ only in when they stop.
 """
 
 from __future__ import annotations
@@ -322,6 +327,33 @@ def _required_grid(degree: int, lip: float, lower: float, slack: float) -> int:
     return max(4, min(g_lip, g_ez))
 
 
+def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
+    """The one grid-refinement policy behind every certified sup bracket.
+
+    Evaluates |T| on equispaced grids from the coarse grid up, keeping the
+    largest grid max (less roundoff) as the lower end and the smallest rigorous
+    bound as the upper end.  After each grid, ``next_width(lower, upper)``
+    returns None to stop, or the bracket width the next grid must reach; that
+    grid is the estimate for the width, and at least double the last one.
+    Returns (lower, upper, G, refused): G is the last grid evaluated, and
+    ``refused`` the next grid when it would exceed ``grid_cap``, else None.
+    """
+    G = min(_COARSE_GRID, _next_pow2(grid_cap))
+    lower = 0.0
+    upper = math.inf
+    while True:
+        gridmax = float(np.max(evaluate(G)))
+        lower = max(lower, gridmax - _FP_SLACK)
+        upper = min(upper, _upper_from_grid(gridmax, G, degree, lip))
+        width = next_width(lower, upper)
+        if width is None:
+            return lower, upper, G, None
+        G_next = max(_next_pow2(_required_grid(degree, lip, lower, width)), 2 * G)
+        if G_next > grid_cap:
+            return lower, upper, G, G_next
+        G = G_next
+
+
 def bracket_sup(
     evaluate,
     degree: int,
@@ -341,25 +373,16 @@ def bracket_sup(
     if tol <= 0:
         raise ValueError("tol must be positive")
     eff_tol = max(tol - 2 * _FP_SLACK, tol * 0.5)
-    lower = 0.0
-    upper = math.inf
-    G = min(_COARSE_GRID, _next_pow2(grid_cap))
-    seen = 0
-    while True:
-        gridmax = float(np.max(evaluate(G)))
-        lower = max(lower, gridmax - _FP_SLACK)
-        upper = min(upper, _upper_from_grid(gridmax, G, degree, lip))
-        seen = max(seen, G)
-        if upper - lower <= tol:
-            return SupBracket(lower, upper, seen)
-        G_req = _next_pow2(_required_grid(degree, lip, lower, eff_tol))
-        G_next = max(G_req, 2 * G)
-        if G_next > grid_cap:
-            raise ResourceCapError(
-                f"{label}: tol={tol:g} needs grid ~{G_next} > cap {grid_cap}; "
-                f"bracket so far [{lower:.6g}, {upper:.6g}]"
-            )
-        G = G_next
+    lower, upper, G, refused = _refine(
+        evaluate, degree, lip, grid_cap,
+        lambda lower, upper: None if upper - lower <= tol else eff_tol,
+    )
+    if refused is not None:
+        raise ResourceCapError(
+            f"{label}: tol={tol:g} needs grid ~{refused} > cap {grid_cap}; "
+            f"bracket so far [{lower:.6g}, {upper:.6g}]"
+        )
+    return SupBracket(lower, upper, G)
 
 
 def triviality_sup(
@@ -393,28 +416,20 @@ def certify_sup_below(
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
+
+    def next_width(lower, upper):
+        # done when decided, or when sup and threshold agree to roundoff (no
+        # grid can separate them); else the gap left below the threshold
+        if lower > threshold or upper <= threshold or threshold - lower <= 4 * _FP_SLACK:
+            return None
+        return threshold - lower
+
     degree, lip = _degree_and_lipschitz(mu)
-    G = min(_COARSE_GRID, _next_pow2(grid_cap))
-    lower = 0.0
-    upper = math.inf
-    while True:
-        vals = _triviality_on_grid(mu, G)
-        gridmax = float(vals.max())
-        lower = max(lower, gridmax - _FP_SLACK)
-        upper = min(upper, _upper_from_grid(gridmax, G, degree, lip))
-        if lower > threshold:
-            return False, lower, upper, G
-        if upper <= threshold:
-            return True, lower, upper, G
-        margin = threshold - lower
-        if margin <= 4 * _FP_SLACK:
-            # sup and threshold agree to roundoff: no grid can separate them
-            return None, lower, upper, G
-        G_req = _next_pow2(_required_grid(degree, lip, lower, margin))
-        G_next = max(G_req, 2 * G)
-        if G_next > grid_cap:
-            return None, lower, upper, G
-        G = G_next
+    lower, upper, G, _ = _refine(
+        lambda G: _triviality_on_grid(mu, G), degree, lip, grid_cap, next_width
+    )
+    verdict = False if lower > threshold else True if upper <= threshold else None
+    return verdict, lower, upper, G
 
 
 def convolve(mu: WeightedMeasure, phi: WeightedMeasure) -> WeightedMeasure:

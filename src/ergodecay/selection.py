@@ -28,8 +28,8 @@ from .families import MeasureFamily
 from .measures import (
     DEFAULT_GRID_CAP,
     WeightedMeasure,
+    _from_arrays,
     certify_sup_below,
-    make_measure,
     triviality_sup,
 )
 
@@ -75,13 +75,18 @@ def n_of_s(family: MeasureFamily, s: int, search_cap: int = 10**6) -> int:
     )
 
 
+def _stage_bound(S_prev: int, k: int) -> float:
+    """The stage-k bound 2^(-2 S(n_{k-1}) - 2k) of the selection inequality."""
+    return 2.0 ** (-2 * S_prev - 2 * k)
+
+
 def tail_split(
     mu: WeightedMeasure, radius: int
 ) -> tuple[WeightedMeasure, WeightedMeasure]:
     """Split mu into (compact, tail): atoms inside [-radius, radius] and the rest."""
     inside = (mu.sites >= -radius) & (mu.sites <= radius)
-    compact = make_measure(zip(mu.sites[inside].tolist(), mu.weights[inside]))
-    tail = make_measure(zip(mu.sites[~inside].tolist(), mu.weights[~inside]))
+    compact = _from_arrays(mu.sites[inside], mu.weights[inside])
+    tail = _from_arrays(mu.sites[~inside], mu.weights[~inside])
     return compact, tail
 
 
@@ -136,8 +141,7 @@ def select_subsequence(
 
     S_seq = _cumulative_S(family)
     for k in range(1, count + 1):
-        S_prev = S_values[-1] if S_values else 0
-        bound = 2.0 ** (-2 * S_prev - 2 * k)
+        bound = _stage_bound(S_values[-1] if S_values else 0, k)
         if k == 1:
             # the first step is unconstrained; bound column is informational
             n, S_n = next(S_seq)
@@ -222,7 +226,7 @@ def verify_selection(family: MeasureFamily, state: SelectionState) -> list[dict]
             raise VerificationError(
                 f"verification failed at k={k}: S(n_k) not strictly increasing"
             )
-        bound = 2.0 ** (-2 * (prev_S if prev_S is not None else 0) - 2 * k)
+        bound = _stage_bound(prev_S if prev_S is not None else 0, k)
         row = {"k": k, "n": n, "S": S_n, "bound": bound}
         if k >= 2:
             verdict, lower, upper, grid = certify_sup_below(family.measure(n), bound)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .families import RhoSpec, perturbed_squares_measure
+from .families import RhoSpec, _perturbed_sites, perturbed_squares_measure
 from .measures import _csum, _unit_phases, fourier_grid
 from .weyl import dirichlet_approx, gauss_sum
 
@@ -220,20 +220,23 @@ def cesaro_expos(rho: RhoSpec, N: int, beta: float, alpha: float) -> dict:
     return {"value": value, "bound": bound, "ratio": abs(value) / bound}
 
 
+_AUDIT_BAND = (0.05, 0.95)  # away from beta = 0, where the bound blows up
+
+
 def transform_bound_audit(
     rho: RhoSpec,
     N_list,
     eps: float | None = None,
     grid: int = 1 << 20,
-    band: tuple[float, float] = (0.05, 0.95),
     row_betas: int = 64,
 ) -> dict:
     """Tabulate |mu_hat_N| against N^(-eps/7) + L_{floor(rho(N))}/(N ||beta||)
-    over a frequency grid, and track the triviality functional's grid max:
+    over the frequency grid points in ``_AUDIT_BAND``, and track the triviality functional's grid max:
     the computable shadow of asymptotic triviality (or its failure).
     """
     eps = rho.epsilon if eps is None else float(eps)
     gam = np.arange(grid) / grid
+    band = _AUDIT_BAND
     mask = (gam >= band[0]) & (gam <= band[1])
     gb = gam[mask]
     circ = np.minimum(gb, 1.0 - gb)
@@ -358,9 +361,7 @@ def residue_density(
     class_Ns = classes[r_q]
     N_star = max(class_Ns)
 
-    j = np.arange(1, N_star + 1, dtype=np.int64)
-    sites_mod = (j * j + rho.floor_at_int(j)) % Q
-    counts = np.bincount(sites_mod, minlength=Q)
+    counts = np.bincount(_perturbed_sites(rho, 1, N_star + 1) % Q, minlength=Q)
 
     qrs = quadratic_residues(Q)
     densities = {a: counts[(a + r_q) % Q] / N_star for a in qrs}

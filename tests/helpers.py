@@ -1,7 +1,9 @@
 """Shared test fixtures: families that genuinely satisfy the selection
 inequality at small indices, dyadic-valued random functions for which
-all block arithmetic is exact in binary floating point, and the dense
-Calderon-Zygmund decomposition that ``cz_decompose`` is checked against."""
+all block arithmetic is exact in binary floating point, the dense
+Calderon-Zygmund decomposition that ``cz_decompose`` is checked against, and
+the CLI command table that guards refactors (criterion 11 and
+``cli_digests.py``)."""
 
 import numpy as np
 
@@ -10,6 +12,23 @@ from ergodecay.czmax import DyadicInterval
 from ergodecay.measures import _csum, _from_arrays
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
+
+# One command per subcommand; each data file must be byte-identical across
+# runs and across refactors.  ``--out`` is appended by the runner.
+CLI_COMMANDS = {
+    "fourier": ["fourier", "--family", "perturbed:power:0.25", "--n", "64", "--grid", "256"],
+    "triviality": ["triviality", "--family", "squares", "--n", "64", "--tol", "1e-2"],
+    "select": ["select", "--family", "squares", "--k", "1", "--cap", "16"],
+    "cz-check": ["cz-check", "--count", "25", "--lambdas", "6", "--seed", "7"],
+    "maximal": ["maximal", "--family", "squares", "--indices", "2,4,8", "--seed", "1"],
+    "weyl-audit": ["weyl-audit", "--grid", "128", "--n", "32,64"],
+    "threshold-audit": ["threshold-audit", "--rho", "power:0.25", "--n-list", "256,512", "--grid", "16384"],
+    "residues": ["residues", "--rho", "log:1", "--q", "15", "--n-list", "100000,200000"],
+    "dynsys-trace": [
+        "dynsys-trace", "--system", "cyclic:15", "--f", "table:3",
+        "--family", "squares", "--indices", "4,8,16", "--x-samples", "4",
+    ],
+}
 
 
 def uniform_dyadic_family() -> MeasureFamily:

@@ -48,7 +48,7 @@ from ergodecay import (
     weyl_bound_audit,
 )
 from ergodecay.cli import main as cli_main
-from helpers import dyadic_phi, uniform_zero_based_family
+from helpers import CLI_COMMANDS, dyadic_phi, uniform_zero_based_family
 
 
 @contextmanager
@@ -322,21 +322,7 @@ def _run_cli(tmp_path, name, *args):
 
 def test_criterion_11_determinism(tmp_path):
     with criterion(11, "cli-determinism", 600):
-        commands = {
-            "fourier": ["fourier", "--family", "perturbed:power:0.25", "--n", "64", "--grid", "256"],
-            "triviality": ["triviality", "--family", "squares", "--n", "64", "--tol", "1e-2"],
-            "select": ["select", "--family", "squares", "--k", "1", "--cap", "16"],
-            "cz-check": ["cz-check", "--count", "25", "--lambdas", "6", "--seed", "7"],
-            "maximal": ["maximal", "--family", "squares", "--indices", "2,4,8", "--seed", "1"],
-            "weyl-audit": ["weyl-audit", "--grid", "128", "--n", "32,64"],
-            "threshold-audit": ["threshold-audit", "--rho", "power:0.25", "--n-list", "256,512", "--grid", "16384"],
-            "residues": ["residues", "--rho", "log:1", "--q", "15", "--n-list", "100000,200000"],
-            "dynsys-trace": [
-                "dynsys-trace", "--system", "cyclic:15", "--f", "table:3",
-                "--family", "squares", "--indices", "4,8,16", "--x-samples", "4",
-            ],
-        }
-        for name, args in commands.items():
+        for name, args in CLI_COMMANDS.items():
             first = _run_cli(tmp_path, f"{name}-a.dat", *args)
             second = _run_cli(tmp_path, f"{name}-b.dat", *args)
             assert first == second, f"{name}: outputs differ between runs"

@@ -80,6 +80,32 @@ def test_bad_family_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["weyl-audit", "--grid", "0", "--n", "8"],
+        ["weyl-audit", "--n", "1"],
+        ["fourier", "--family", "squares", "--n", "4", "--grid", "1"],
+        ["fourier", "--family", "squares", "--n", "0"],
+        ["triviality", "--family", "squares", "--n", "4", "--tol", "0"],
+        ["select", "--family", "squares", "--k", "0", "--cap", "10"],
+        ["maximal", "--family", "squares", "--indices", "0"],
+        ["maximal", "--family", "squares", "--indices", ""],
+        ["dynsys-trace", "--system", "cyclic:15", "--f", "trig:1", "--family", "squares",
+         "--indices", ""],
+        ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
+        ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
+        ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_out_of_range_argument_exit_2(tmp_path, capsys, args):
+    out = tmp_path / "x.dat"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
 def test_cz_check_runs(tmp_path):
     rc, out = run(tmp_path, "cz.json", "cz-check", "--count", "20", "--lambdas", "5", "--seed", "1")
     assert rc == 0

@@ -18,6 +18,7 @@ from ergodecay import (
     squares_measure,
     triviality_sup,
     weak11_ratio,
+    weak11_rows,
 )
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
 from ergodecay.measures import convolve
@@ -279,6 +280,18 @@ def test_weak11_squares_levelset():
     assert ratio == pytest.approx(0.5)
 
 
+def test_weak11_rows_count_level_sets():
+    # M = |phi| for the point mass at 0; its values are 3, 2, 1 (/ 4)
+    phi = make_measure([(0, 0.75), (5, -0.5), (9, 0.25j)])
+    M = maximal_function(phi, [point_mass(0)])
+    rows = weak11_rows(phi, M, [1.0, 0.5, 0.25, 0.125])
+    assert rows == [(1.0, 0, 0.0), (0.5, 1, 0.5 / 1.5), (0.25, 2, 0.5 / 1.5), (0.125, 3, 0.375 / 1.5)]
+    assert weak11_ratio(phi, [point_mass(0)], [1.0, 0.5, 0.25, 0.125]) == 0.5 / 1.5
+    # the default lambdas: max|phi| halved down to ||phi||_1 / 2^20
+    assert [lam for lam, _, _ in weak11_rows(phi, M)] == [0.75 / (1 << i) for i in range(20)]
+    assert weak11_ratio(phi, [point_mass(0)], [2.0]) == 0.0  # empty level sets
+
+
 def test_weak11_trivial_ceiling():
     rng = np.random.default_rng(3)
     measures = [squares_measure(n) for n in (2, 4, 8, 16)]
@@ -312,7 +325,9 @@ def test_sigma_hat_closed_form_matches_measure():
 
 def test_sigma_hat_grid_bit_identical_to_formula():
     # the closed form as written, one temporary per operation
-    for S_prev, n, G in ((0, 1, 64), (3, 2, 1000), (6, 3, 4096), (20, 1, 1 << 14)):
+    # 2^21 + 3 points: two whole blocks of the blocked evaluation and a ragged tail
+    cases = ((0, 1, 64), (3, 2, 1000), (6, 3, 4096), (20, 1, 1 << 14), (6, 3, (1 << 21) + 3))
+    for S_prev, n, G in cases:
         M = 1 << (S_prev + n)
         m = np.arange(G, dtype=np.int64)
         num = np.sin(np.pi * ((M * m) % (2 * G)) / G)

@@ -26,6 +26,7 @@ from ergodecay import (
     triviality_sup,
     write_fourier_csv,
 )
+from ergodecay import measures
 from ergodecay.measures import _fold_mod, _triviality_on_grid
 from helpers import uniform_zero_based_family
 
@@ -311,6 +312,64 @@ def test_certify_sup_below_verdicts(threshold, grid_cap, verdict):
         assert upper <= threshold
     if verdict is False:
         assert lower > threshold
+
+
+@pytest.fixture
+def grids_evaluated(monkeypatch):
+    """The grid sizes that sup brackets and certifications evaluate, in order."""
+    grids = []
+    evaluate = measures._triviality_on_grid
+
+    def recording(mu, G):
+        grids.append(G)
+        if len(grids) > 32:
+            raise AssertionError(f"refinement does not terminate: {grids}")
+        return evaluate(mu, G)
+
+    monkeypatch.setattr(measures, "_triviality_on_grid", recording)
+    return grids
+
+
+@pytest.mark.parametrize(
+    "threshold, grid_cap, grids",
+    [
+        (0.2, 1 << 25, [4096]),
+        (0.1, 1 << 25, [4096]),
+        (0.125 * (1 + 1e-6), 1 << 25, [4096, 32768]),
+        (0.125 * (1 + 1e-6), 4096, [4096]),
+    ],
+)
+def test_certify_sup_below_grid_sequence(threshold, grid_cap, grids, grids_evaluated):
+    certify_sup_below(uniform_zero_based_family().measure(5), threshold, grid_cap=grid_cap)
+    assert grids_evaluated == grids
+
+
+def test_certify_sup_below_doubles_when_the_estimate_stalls(grids_evaluated):
+    # 1e-12 below the coarse upper bound the width estimate, which leaves out
+    # the roundoff allowance, says the coarse grid already suffices; only the
+    # at-least-doubling step moves the refinement on
+    mu = uniform_zero_based_family().measure(5)
+    coarse_upper = certify_sup_below(mu, 1.0)[2]
+    grids_evaluated.clear()
+    verdict, _, upper, grid = certify_sup_below(mu, coarse_upper - 1e-12)
+    assert (verdict, grid) == (True, 8192) and upper < coarse_upper
+    assert grids_evaluated == [4096, 8192]
+
+
+def test_triviality_sup_grid_sequence(grids_evaluated):
+    br = triviality_sup(squares_measure(200), 1e-3)
+    assert grids_evaluated == [4096, 1 << 21]
+    assert br.grid_size == 1 << 21
+
+
+def test_triviality_sup_cap_message_names_refused_grid(grids_evaluated):
+    with pytest.raises(ResourceCapError) as info:
+        triviality_sup(squares_measure(5000), 1e-9, grid_cap=16384)
+    assert str(info.value) == (
+        "triviality_sup(radius 25000000): tol=1e-09 needs grid ~1099511627776 "
+        "> cap 16384; bracket so far [1, 38350.5]"
+    )
+    assert grids_evaluated == [4096]
 
 
 def test_certify_sup_below_roundoff_tie_is_undecided():

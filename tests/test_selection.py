@@ -84,6 +84,27 @@ def test_tail_split_examples():
     )
 
 
+@pytest.mark.parametrize("radius", [-1, 0, 3, 40, 10**6])
+def test_tail_split_matches_atom_list_construction(radius):
+    # compact and tail as built from per-atom (site, weight) lists, bit for bit;
+    # radius -1 leaves compact empty and 10**6 leaves tail empty
+    rng = np.random.default_rng(5)
+    mu = make_measure(
+        zip(rng.integers(-50, 51, size=40).tolist(), rng.normal(size=40) + 1j * rng.normal(size=40))
+    )
+    inside = (mu.sites >= -radius) & (mu.sites <= radius)
+    want = (
+        make_measure(zip(mu.sites[inside].tolist(), mu.weights[inside])),
+        make_measure(zip(mu.sites[~inside].tolist(), mu.weights[~inside])),
+    )
+    for got, ref in zip(tail_split(mu, radius), want):
+        assert got.sites.dtype == ref.sites.dtype and got.weights.dtype == ref.weights.dtype
+        assert got.sites.tobytes() == ref.sites.tobytes()
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert got.total_variation.hex() == ref.total_variation.hex()
+    assert tail_split(mu, -1)[0].n_atoms == 0 and tail_split(mu, 10**6)[1].n_atoms == 0
+
+
 # -- selection: positive path ----------------------------------------------------
 
 
