@@ -43,24 +43,25 @@ def uniform_dyadic_family() -> MeasureFamily:
     return MeasureFamily("uniform-dyadic", measure, lambda n: 1 << n)
 
 
-def uniform_zero_based_family() -> MeasureFamily:
-    """mu_n = uniform on {0..2^(n-1)-1}, so mu_1 = delta_0.
+def uniform_zero_based_family(shift: int = -1) -> MeasureFamily:
+    """mu_n = uniform on {0..2^(n+shift)-1}; the default gives mu_1 = delta_0.
 
     (1 - e(g)) mu_hat_n(g) = (1 - e(2^(n-1) g)) / 2^(n-1), so the decay
     functional is exactly 2^(2-n) and tends to 0, as the paper's hypothesis
     asks.  The greedy rule selects n = 1, 7, 21 (S = 0, 6, 20): the index
     where 2^(2-n) equals the stage bound cannot be certified below it, so
-    each stage takes the next one.
+    each stage takes the next one.  With shift=1, mu_1 already spans four
+    sites and two stages select n = 1, 9 (S = 2, 10).
     """
 
     def measure(n):
-        M = 1 << (n - 1)
+        M = 1 << (n + shift)
         if M > _UNIFORM_SUPPORT_CAP:
             raise ResourceCapError("test family capped")
         sites = np.arange(M, dtype=np.int64)
         return _from_arrays(sites, np.full(M, 1.0 / M, dtype=np.complex128))
 
-    return MeasureFamily("uniform-zero-based", measure, lambda n: (1 << (n - 1)) - 1)
+    return MeasureFamily("uniform-zero-based", measure, lambda n: (1 << (n + shift)) - 1)
 
 
 def dyadic_phi(rng, span=256, n=24):

@@ -23,7 +23,12 @@ from ergodecay import (
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
 from ergodecay.measures import convolve
 
-from helpers import dense_cz_decompose, dyadic_phi, uniform_dyadic_family
+from helpers import (
+    dense_cz_decompose,
+    dyadic_phi,
+    uniform_dyadic_family,
+    uniform_zero_based_family,
+)
 
 
 def brute_maximal_intervals(phi, lam, s_max=None):
@@ -393,11 +398,15 @@ def test_e1_e2_zero_when_no_bad_intervals():
 
 
 def test_e1_e2_bounds_hold_on_corpus():
-    fam = uniform_dyadic_family()
+    # mu_1 spans four sites, so S(n_1) = 2 and the scales 0 and 1 of b enter
+    # B; with S(n_1) <= 1 only scale 0 would, and b vanishes there.
+    fam = uniform_zero_based_family(shift=1)
     from ergodecay import select_subsequence
 
     state = select_subsequence(fam, 2, search_cap=64)
+    assert state.chosen == [1, 9] and state.S_values == [2, 10]
     rng = np.random.default_rng(21)
+    nonzero = 0
     for _ in range(8):
         phi = dyadic_phi(rng, span=48, n=10)
         lam = float(np.max(np.abs(phi.weights))) / 8
@@ -408,6 +417,8 @@ def test_e1_e2_bounds_hold_on_corpus():
             # this family satisfies the selection inequality, so the pure
             # decay form of the E2 bound applies as well
             assert r["e2_value"] <= r["e2_bound_paper"] + 1e-9
+            nonzero += r["e1_value"] > 0
+    assert nonzero > 0
 
 
 def test_dyadic_interval_geometry():
