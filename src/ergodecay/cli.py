@@ -1,8 +1,9 @@
 """Command-line front end: every audit and experiment, reproducible, CSV/JSON out.
 
-Each run writes its data file(s) plus a ``<out>.manifest.json`` echoing the
-config and library version (the manifest timestamp is the only field allowed
-to differ between identical runs).  Exit codes: 0 ok, 2 config error (a bad
+Each successful run writes its data file(s), then ``main`` writes a
+``<out>.manifest.json`` echoing the subcommand, config and library version
+(the manifest timestamp is the only field allowed to differ between identical
+runs); a failing run writes no manifest.  Exit codes: 0 ok, 2 config error (a bad
 descriptor, or an argument out of range: a library ValueError), 3 selection
 stalled, 4 resource cap exceeded, 5 verification failure.
 """
@@ -86,7 +87,6 @@ def _config_of(args: argparse.Namespace) -> dict:
 def cmd_fourier(args) -> int:
     family = parse_family(args.family)
     write_fourier_csv(args.out, family.measure(args.n), args.grid)
-    _write_manifest(args.out, "fourier", _config_of(args))
     print(f"fourier: {family.descriptor} n={args.n} grid={args.grid} -> {args.out}")
     return EXIT_OK
 
@@ -106,7 +106,6 @@ def cmd_triviality(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    _write_manifest(args.out, "triviality", _config_of(args))
     print(
         f"triviality: {family.descriptor} n={args.n} "
         f"sup in [{bracket.lower:.6g}, {bracket.upper:.6g}]"
@@ -123,7 +122,6 @@ def cmd_select(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(selection_to_json(state))
         fh.write("\n")
-    _write_manifest(args.out, "select", _config_of(args))
     print(f"select: {family.descriptor} chose {state.chosen}")
     return EXIT_OK
 
@@ -153,7 +151,6 @@ def cmd_cz_check(args) -> int:
             indent=2,
         )
         fh.write("\n")
-    _write_manifest(args.out, "cz-check", _config_of(args))
     print(f"cz-check: {args.count} cases x {args.lambdas} lambdas, all invariants hold")
     return EXIT_OK
 
@@ -182,7 +179,6 @@ def cmd_maximal(args) -> int:
     phi = _random_dyadic_phi(rng, span=args.phi_span, max_atoms=args.phi_atoms)
     rows = weak11_rows(phi, maximal_function(phi, measures))
     _write_csv(args.out, ["lambda", "levelset_count", "ratio"], rows)
-    _write_manifest(args.out, "maximal", _config_of(args))
     ratio = weak11_ratio(phi, measures)
     print(f"maximal: weak-(1,1) empirical ratio {ratio:.4g} -> {args.out}")
     return EXIT_OK
@@ -199,7 +195,6 @@ def cmd_weyl_audit(args) -> int:
         ["N", "beta", "p", "q", "err", "value", "bound_shape", "ratio"],
         ((r.N, r.beta, r.p, r.q, r.err, r.value, r.bound_shape, r.ratio) for r in rows),
     )
-    _write_manifest(args.out, "weyl-audit", _config_of(args))
     max_ratio = max(r.ratio for r in rows)
     print(f"weyl-audit: {len(rows)} rows, max ratio {max_ratio:.4g} -> {args.out}")
     return EXIT_OK
@@ -218,7 +213,6 @@ def cmd_threshold_audit(args) -> int:
     _write_csv(
         args.out, ["rho", "N", "beta", "q", "branch", "value", "bound", "ratio"], rows
     )
-    _write_manifest(args.out, "threshold-audit", _config_of(args))
     trend = ", ".join(
         f"N={p['N']}: triv={p['triviality_grid_max']:.4g}" for p in report["per_N"]
     )
@@ -241,7 +235,6 @@ def cmd_residues(args) -> int:
         for a in profile.lambda_q
     )
     _write_csv(args.out, ["Q", "a", "count", "density", "bound"], rows)
-    _write_manifest(args.out, "residues", _config_of(args))
     print(
         f"residues: Q={profile.Q} r_Q={profile.r_q} min nonzero density "
         f"{profile.min_nonzero_density:.5g} bound {profile.bound} "
@@ -272,7 +265,6 @@ def cmd_dynsys_trace(args) -> int:
         for r in trace["rows"]
     )
     _write_csv(args.out, ["k", "n_k", "x", "re", "im", "abs", "osc_tail"], rows)
-    _write_manifest(args.out, "dynsys-trace", _config_of(args))
     print(
         f"dynsys-trace: median mid-tail osc {trace['median_osc']:.4g}, "
         f"max {trace['max_osc']:.4g} -> {args.out}"
@@ -407,7 +399,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
     except (ConfigError, ValueError) as exc:  # ValueError: argument out of range
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -421,6 +413,9 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    if rc == EXIT_OK:
+        _write_manifest(args.out, args.command, _config_of(args))
+    return rc
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ over all of Z.  The stopping rule selects maximal dyadic intervals whose
 |phi|-average strictly exceeds lambda.  On Z single points are indivisible, so
 the achieved constants are ||g||_inf <= 2*lambda and sum|b| <= 4*lambda*|Q|
 (a factor 2 above the classical continuum constants; both are reported).
+
+A decomposition is g, sum b as one measure, and the selected intervals, which
+cut sum b into the b_{s,k}.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .measures import (
     WeightedMeasure,
     _csum,
     _from_arrays,
+    _total_variation,
+    _uniform_on,
     bracket_sup,
     convolve,
     fourier_grid,
@@ -66,6 +71,9 @@ class DyadicInterval:
 
 @dataclass(frozen=True)
 class CZDecomposition:
+    """phi = good + bad_sum.  bad_sum lies on the selected intervals, and its
+    atoms in one selected interval Q are b_Q."""
+
     lam: float
     good: WeightedMeasure
     bad_sum: WeightedMeasure  # sum of the b_{s,k}; their supports are disjoint
@@ -74,27 +82,6 @@ class CZDecomposition:
     @property
     def carleson_sum(self) -> int:
         return sum(q.length for q in self.selected)
-
-    @property
-    def bad(self) -> tuple:
-        """((DyadicInterval, b_{s,k}), ...): bad_sum cut at the selected intervals."""
-        b = self.bad_sum
-        cuts = np.searchsorted(b.sites, [[q.start, q.stop] for q in self.selected])
-        return tuple(
-            (q, _from_arrays(b.sites[i:j], b.weights[i:j]))
-            for q, (i, j) in zip(self.selected, cuts.tolist())
-        )
-
-    def bad_by_scale(self) -> dict:
-        """b_s = sum_k b_{s,k} grouped by scale."""
-        pieces = self.bad
-        return {
-            s: _from_arrays(
-                np.concatenate([b.sites for q, b in pieces if q.s == s]),
-                np.concatenate([b.weights for q, b in pieces if q.s == s]),
-            )
-            for s in dict.fromkeys(q.s for q in self.selected)
-        }
 
 
 def cz_decompose(phi: WeightedMeasure, lam: float) -> CZDecomposition:
@@ -236,8 +223,7 @@ def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
     M = 1 << (S_prev + n)
     if M > size_cap:
         raise ResourceCapError(f"sigma_n support 2^{S_prev + n} exceeds cap {size_cap}")
-    sites = np.arange(1, M + 1, dtype=np.int64)
-    return _from_arrays(sites, np.full(M, 1.0 / M, dtype=np.complex128))
+    return _uniform_on(np.arange(1, M + 1, dtype=np.int64))
 
 
 _SIGMA_BLOCK = 1 << 20
@@ -297,8 +283,8 @@ def sigma_deficit_sup(mu: WeightedMeasure, S_prev: int, n: int, tol: float) -> d
     }
 
 
-def _l2sq(mu: WeightedMeasure) -> float:
-    return float(math.fsum(np.abs(mu.weights) ** 2))
+def _l2sq(weights: np.ndarray) -> float:
+    return float(math.fsum(np.abs(weights) ** 2))
 
 
 _E2_SUP_TOL = 1e-6  # bracket width of each selected measure's triviality sup
@@ -316,12 +302,17 @@ def e1_e2_diagnostics(phi: WeightedMeasure, state, family, lam: float) -> list[d
         inequality, so its margin is reported rather than assumed.
     """
     dec = cz_decompose(phi, lam)
-    by_scale = dec.bad_by_scale()
+    b = dec.bad_sum
+    starts = np.array([q.start for q in dec.selected], dtype=np.int64)
+    scales_of = np.array([q.s for q in dec.selected], dtype=np.int64)
+    # the scale of the selected interval that holds each atom of sum b
+    atom_scale = scales_of[np.searchsorted(starts, b.sites, side="right") - 1]
     rows = []
     for k in range(2, len(state.chosen) + 1):
         n_k = state.chosen[k - 1]
         S_prev = state.S_values[k - 2]
-        scales = sorted(s for s in by_scale if s < S_prev and by_scale[s].n_atoms > 0)
+        in_B = atom_scale < S_prev
+        scales = np.unique(atom_scale[in_B]).tolist()
         mu = family.measure(n_k)
         sigma = sigma_n(S_prev, k)
         row = {"k": k, "n": n_k, "S_prev": S_prev, "scales": scales}
@@ -332,23 +323,21 @@ def e1_e2_diagnostics(phi: WeightedMeasure, state, family, lam: float) -> list[d
             )
             rows.append(row)
             continue
-        B = _from_arrays(
-            np.concatenate([by_scale[s].sites for s in scales]),
-            np.concatenate([by_scale[s].weights for s in scales]),
-        )
+        B = _from_arrays(b.sites[in_B], b.weights[in_B])
+        b_s = [b.weights[atom_scale == s] for s in scales]
         mu_sigma = convolve(mu, sigma)
         e1_value = convolve(mu_sigma, B).total_variation
         e1_bound = sum(
-            2.0 ** (-S_prev - k + s + 1) * by_scale[s].total_variation for s in scales
+            2.0 ** (-S_prev - k + s + 1) * _total_variation(w) for s, w in zip(scales, b_s)
         )
         mu_minus = _from_arrays(
             np.concatenate([mu.sites, mu_sigma.sites]),
             np.concatenate([mu.weights, -mu_sigma.weights]),
         )
-        e2_value = _l2sq(convolve(mu_minus, B))
+        e2_value = _l2sq(convolve(mu_minus, B).weights)
         triv = triviality_sup(mu, _E2_SUP_TOL)
         deficit_inf = (2.0 ** (S_prev + k)) * triv.upper
-        sum_b_l2 = sum(_l2sq(by_scale[s]) for s in scales)
+        sum_b_l2 = sum(_l2sq(w) for w in b_s)
         row.update(
             {
                 "e1_value": e1_value,

@@ -30,7 +30,7 @@ import mpmath
 import numpy as np
 
 from .errors import ConfigError
-from .measures import WeightedMeasure, _from_arrays, _unit_phases
+from .measures import WeightedMeasure, _from_arrays, _uniform_on, _unit_phases
 
 __all__ = [
     "RhoSpec",
@@ -255,11 +255,6 @@ def rho_constant(c0: float) -> RhoSpec:
 
 
 # -- measure generators ------------------------------------------------------
-
-
-def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
-    N = len(sites)
-    return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
 
 
 def squares_measure(n: int) -> WeightedMeasure:

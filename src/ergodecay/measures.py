@@ -199,6 +199,12 @@ def _from_arrays(sites: np.ndarray, weights: np.ndarray) -> WeightedMeasure:
     return WeightedMeasure(sites, weights, _total_variation(weights))
 
 
+def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
+    """Uniform probability measure on the given strictly increasing sites."""
+    N = len(sites)
+    return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+
+
 def _total_variation(weights: np.ndarray) -> float:
     """``math.fsum(np.abs(weights))``, bit for bit, with a fast equal-magnitude path.
 
@@ -337,8 +343,12 @@ def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     grid is the estimate for the width, and at least double the last one.
     Returns (lower, upper, G, refused): G is the last grid evaluated, and
     ``refused`` the next grid when it would exceed ``grid_cap``, else None.
+    The first grid is the coarse grid, or the largest power of two within
+    the cap if that is smaller.
     """
-    G = min(_COARSE_GRID, _next_pow2(grid_cap))
+    if grid_cap < 2:
+        raise ValueError(f"grid_cap must be >= 2, got {grid_cap}")
+    G = min(_COARSE_GRID, 1 << (int(grid_cap).bit_length() - 1))
     lower = 0.0
     upper = math.inf
     while True:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .families import RhoSpec, _perturbed_sites, perturbed_squares_measure
-from .measures import _csum, _unit_phases, fourier_grid
+from .measures import _unit_phases, fourier_at, fourier_grid
 from .weyl import dirichlet_approx, gauss_sum
 
 __all__ = [
@@ -254,7 +254,7 @@ def transform_bound_audit(
             L_last = block_structure(rho, int(rho.floor_at_int(N))).length
         bound = N ** (-eps / 7.0) + L_last / (N * circ)
         ratios = absvals / bound
-        quarter = abs(_csum(mu.weights * _unit_phases(mu.sites, 0.25)))
+        quarter = abs(fourier_at(mu, 0.25))
         per_N.append(
             {
                 "N": N,

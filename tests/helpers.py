@@ -1,15 +1,16 @@
 """Shared test fixtures: families that genuinely satisfy the selection
 inequality at small indices, dyadic-valued random functions for which
 all block arithmetic is exact in binary floating point, the dense
-Calderon-Zygmund decomposition that ``cz_decompose`` is checked against, and
-the CLI command table that guards refactors (criterion 11 and
+Calderon-Zygmund decomposition that ``cz_decompose`` is checked against (one
+measure per selected interval; their concatenation is ``bad_sum``), and the
+CLI command table that guards refactors (criterion 11 and
 ``cli_digests.py``)."""
 
 import numpy as np
 
 from ergodecay import MeasureFamily, ResourceCapError, make_measure, point_mass
 from ergodecay.czmax import DyadicInterval
-from ergodecay.measures import _csum, _from_arrays
+from ergodecay.measures import _csum, _from_arrays, _uniform_on
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
 
@@ -58,8 +59,7 @@ def uniform_zero_based_family(shift: int = -1) -> MeasureFamily:
         M = 1 << (n + shift)
         if M > _UNIFORM_SUPPORT_CAP:
             raise ResourceCapError("test family capped")
-        sites = np.arange(M, dtype=np.int64)
-        return _from_arrays(sites, np.full(M, 1.0 / M, dtype=np.complex128))
+        return _uniform_on(np.arange(M, dtype=np.int64))
 
     return MeasureFamily("uniform-zero-based", measure, lambda n: (1 << (n + shift)) - 1)
 

@@ -70,22 +70,29 @@ def criterion(num: int, name: str, budget_s: float):
 
 def _audit_cz(phi, lam):
     dec = cz_decompose(phi, lam)
-    lo = min(int(phi.sites[0]), min((q.start for q in dec.selected), default=0))
-    hi = max(int(phi.sites[-1]), max((q.stop - 1 for q in dec.selected), default=0))
-    width = hi - lo + 1
-    dense = np.zeros(width, dtype=np.complex128)
-    dense[phi.sites - lo] = phi.weights
-    recon = np.zeros(width, dtype=np.complex128)
-    if dec.good.n_atoms:
-        recon[dec.good.sites - lo] += dec.good.weights
-    for q, b in dec.bad:
-        if b.n_atoms:
-            recon[b.sites - lo] += b.weights
-            assert b.sites[0] >= q.start and b.sites[-1] < q.stop
+    b = dec.bad_sum
+    starts = np.array([q.start for q in dec.selected], dtype=np.int64)
+    stops = np.array([q.stop for q in dec.selected], dtype=np.int64)
+    # every atom of sum b lies in a selected interval
+    holder = np.searchsorted(starts, b.sites, side="right") - 1
+    assert np.all(holder >= 0) and np.all(b.sites < stops[holder])
+    # cut sum b into the b_Q at the selected intervals
+    cuts = np.searchsorted(b.sites, [starts, stops]).T.tolist()
+    re, im = b.weights.real.tolist(), b.weights.imag.tolist()
+    mags = np.abs(b.weights).tolist()
+    for q, (i, j) in zip(dec.selected, cuts):
         # mean zero, exactly (dyadic inputs)
-        assert math.fsum(b.weights.real) == 0.0
-        assert math.fsum(b.weights.imag) == 0.0
-        assert b.total_variation <= 4.0 * lam * q.length + 1e-12
+        assert math.fsum(re[i:j]) == 0.0
+        assert math.fsum(im[i:j]) == 0.0
+        assert math.fsum(mags[i:j]) <= 4.0 * lam * q.length + 1e-12
+    # g + sum b - phi, merged per site over the union of the three supports
+    parts = (dec.good, b)
+    sites = np.concatenate([phi.sites, *(m.sites for m in parts)])
+    uniq, at = np.unique(sites, return_inverse=True)
+    dense = np.zeros(len(uniq), dtype=np.complex128)
+    dense[at[: phi.n_atoms]] = phi.weights
+    recon = np.zeros(len(uniq), dtype=np.complex128)
+    np.add.at(recon, at[phi.n_atoms :], np.concatenate([m.weights for m in parts]))
     assert np.max(np.abs(recon - dense)) <= 1e-12
     if dec.good.n_atoms:
         assert np.max(np.abs(dec.good.weights)) <= 2.0 * lam + 1e-12

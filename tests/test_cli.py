@@ -5,6 +5,8 @@ import pytest
 from ergodecay import VerificationError
 from ergodecay.cli import main
 
+from helpers import CLI_COMMANDS
+
 
 def run(tmp_path, name, *args):
     out = tmp_path / name
@@ -22,6 +24,21 @@ def test_fourier_writes_csv_and_manifest(tmp_path):
     assert manifest["command"] == "fourier"
     assert manifest["config"]["family"] == "squares"
     assert "version" in manifest and "timestamp" in manifest
+
+
+def test_manifest_names_each_subcommand(tmp_path):
+    for name, args in CLI_COMMANDS.items():
+        rc, _ = run(tmp_path, f"{name}.dat", *args)
+        assert rc == 0
+        manifest = json.loads((tmp_path / f"{name}.dat.manifest.json").read_text())
+        assert manifest["command"] == name == args[0]
+
+
+def test_failing_command_writes_no_manifest(tmp_path):
+    # the empty N list fails only after the CSV header is written
+    rc, _ = run(tmp_path, "w.csv", "weyl-audit", "--grid", "8", "--n", "")
+    assert rc == 2
+    assert not (tmp_path / "w.csv.manifest.json").exists()
 
 
 def test_triviality_json(tmp_path):
@@ -88,6 +105,7 @@ def test_bad_family_exit_2(tmp_path):
         ["fourier", "--family", "squares", "--n", "4", "--grid", "1"],
         ["fourier", "--family", "squares", "--n", "0"],
         ["triviality", "--family", "squares", "--n", "4", "--tol", "0"],
+        ["triviality", "--family", "squares", "--n", "4", "--grid-cap", "1"],
         ["select", "--family", "squares", "--k", "0", "--cap", "10"],
         ["maximal", "--family", "squares", "--indices", "0"],
         ["maximal", "--family", "squares", "--indices", ""],
@@ -104,6 +122,7 @@ def test_out_of_range_argument_exit_2(tmp_path, capsys, args):
     assert main([*args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+    assert not (tmp_path / "x.dat.manifest.json").exists()
 
 
 def test_cz_check_runs(tmp_path):

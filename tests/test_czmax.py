@@ -21,7 +21,7 @@ from ergodecay import (
     weak11_rows,
 )
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
-from ergodecay.measures import convolve
+from ergodecay.measures import _from_arrays, convolve
 
 from helpers import (
     dense_cz_decompose,
@@ -73,8 +73,7 @@ def test_cz_below_threshold_everywhere():
 def test_cz_single_point_interval():
     dec = cz_decompose(point_mass(0), 0.5)
     assert [(q.s, q.k) for q in dec.selected] == [(0, 0)]
-    q, b = dec.bad[0]
-    assert b.n_atoms == 0  # b = phi - mean vanishes on a single point
+    assert dec.bad_sum.n_atoms == 0  # b = phi - mean vanishes on a single point
     assert dec.good == point_mass(0)
     assert np.max(np.abs(dec.good.weights)) <= 2 * 0.5
 
@@ -94,7 +93,7 @@ def test_cz_report_measures_injected_reconstruction_error():
     rng = np.random.default_rng(5)
     phi = dyadic_phi(rng, span=64, n=12)
     dec = cz_decompose(phi, float(np.max(np.abs(phi.weights))) / 8)
-    assert dec.bad
+    assert dec.selected
 
     def plus(mu, site, w):
         return make_measure([(int(x), v) for x, v in zip(mu.sites, mu.weights)] + [(site, w)])
@@ -160,9 +159,12 @@ def test_cz_matches_dense_reference_bit_for_bit():
             selected, good, bad = dense_cz_decompose(phi, lam)
             assert dec.selected == selected
             assert _same_measure(dec.good, good)
-            assert len(dec.bad) == len(bad)
-            for (q, b), (q_ref, b_ref) in zip(dec.bad, bad):
-                assert q == q_ref and _same_measure(b, b_ref)
+            assert [q for q, _ in bad] == list(selected)
+            bad_sum = _from_arrays(  # the reference pieces, concatenated
+                np.concatenate([np.zeros(0, np.int64), *(b.sites for _, b in bad)]),
+                np.concatenate([np.zeros(0, np.complex128), *(b.weights for _, b in bad)]),
+            )
+            assert _same_measure(dec.bad_sum, bad_sum)
     for phi in corpus[:30]:  # dyadic values: the tie lambdas are exact averages
         site = int(phi.sites[np.argmax(np.abs(phi.weights))])
         for s, lam in zip((1, 2, 3), _tie_lambdas(phi)):
@@ -194,12 +196,13 @@ def _check_invariants(phi, lam, dec):
     # reconstruction and mean-zero are exact for dyadic inputs
     rep = cz_report(phi, dec)
     assert rep["reconstruction_error"] == 0.0
-    for q, b in dec.bad:
-        if b.n_atoms:
-            assert all(site in q for site in b.sites.tolist())
-            assert math.fsum(b.weights.real) == 0.0
-            assert math.fsum(b.weights.imag) == 0.0
-            assert b.total_variation <= 4 * lam * q.length + 1e-12
+    b = dec.bad_sum
+    cuts = np.searchsorted(b.sites, [[q.start, q.stop] for q in dec.selected])
+    assert sum(j - i for i, j in cuts.tolist()) == b.n_atoms  # all inside some Q
+    for q, (i, j) in zip(dec.selected, cuts.tolist()):
+        assert math.fsum(b.weights[i:j].real) == 0.0
+        assert math.fsum(b.weights[i:j].imag) == 0.0
+        assert math.fsum(np.abs(b.weights[i:j])) <= 4 * lam * q.length + 1e-12
     assert rep["g_inf_norm"] <= 2 * lam + 1e-12
     assert dec.carleson_sum <= phi.total_variation / lam + 1e-12
     ivs = sorted((q.start, q.stop) for q in dec.selected)
@@ -214,22 +217,6 @@ def test_cz_invariants_small_corpus():
         top = float(np.max(np.abs(phi.weights)))
         for i in range(1, 6):
             _check_invariants(phi, top / (1 << i), cz_decompose(phi, top / (1 << i)))
-
-
-def test_cz_cross_scale_orthogonality_exact():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        phi = dyadic_phi(rng)
-        lam = float(np.max(np.abs(phi.weights))) / 16
-        by_scale = cz_decompose(phi, lam).bad_by_scale()
-        scales = sorted(by_scale)
-        for i, s in enumerate(scales):
-            for t in scales[i + 1 :]:
-                bs, bt = by_scale[s], by_scale[t]
-                inner = 0.0
-                for site, w in zip(bs.sites.tolist(), bs.weights):
-                    inner += (w * np.conj(bt.weight_at(site))).real
-                assert inner == 0.0  # disjoint supports across scales
 
 
 # -- maximal function -------------------------------------------------------------

@@ -298,6 +298,7 @@ def test_triviality_bracket_contains_finer_grid_max(data):
         (0.1, 1 << 25, False),
         (0.125 * (1 + 1e-6), 1 << 25, True),  # decided only after refinement
         (0.125 * (1 + 1e-6), 4096, None),  # the same gap needs a grid past the cap
+        (0.2, 1000, True),  # a cap below the coarse grid bounds the first grid
     ],
 )
 def test_certify_sup_below_verdicts(threshold, grid_cap, verdict):
@@ -337,6 +338,7 @@ def grids_evaluated(monkeypatch):
         (0.1, 1 << 25, [4096]),
         (0.125 * (1 + 1e-6), 1 << 25, [4096, 32768]),
         (0.125 * (1 + 1e-6), 4096, [4096]),
+        (0.2, 1000, [512]),
     ],
 )
 def test_certify_sup_below_grid_sequence(threshold, grid_cap, grids, grids_evaluated):
