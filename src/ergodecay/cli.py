@@ -186,6 +186,8 @@ def cmd_maximal(args) -> int:
 
 def cmd_weyl_audit(args) -> int:
     Ns = _parse_int_list(args.n)
+    if not Ns:
+        raise ConfigError("--n must list at least one N")
     G = args.grid
     if G < 1:
         raise ConfigError(f"grid must be >= 1, got {G}")

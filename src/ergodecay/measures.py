@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-def _two_product(a: np.ndarray, b: float) -> tuple[np.ndarray, np.ndarray]:
+def _two_product(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """Error-free transform: returns (x, err) with x + err == a*b exactly."""
     x = a * b
     ca = _SPLIT * a

@@ -234,20 +234,23 @@ def transform_bound_audit(
     over the frequency grid points in ``_AUDIT_BAND``, and track the triviality functional's grid max:
     the computable shadow of asymptotic triviality (or its failure).
     """
+    N_list = [int(N) for N in N_list]
+    if not N_list:
+        raise ValueError("N_list must not be empty")
     eps = rho.epsilon if eps is None else float(eps)
     gam = np.arange(grid) / grid
     band = _AUDIT_BAND
     mask = (gam >= band[0]) & (gam <= band[1])
     gb = gam[mask]
     circ = np.minimum(gb, 1.0 - gb)
+    band_factor = 1.0 - np.exp(2j * np.pi * gb)
     per_N = []
     rows = []
     for N in N_list:
-        N = int(N)
         mu = perturbed_squares_measure(rho, N)
-        vals = fourier_grid(mu, grid)
-        absvals = np.abs(vals[mask])
-        triv = np.abs((1.0 - np.exp(2j * np.pi * gb)) * vals[mask])
+        band_vals = fourier_grid(mu, grid)[mask]
+        absvals = np.abs(band_vals)
+        triv = np.abs(band_factor * band_vals)
         if rho.kind == "constant":
             L_last = float(N)
         else:
@@ -275,6 +278,8 @@ def transform_bound_audit(
                     "ratio": float(ratios[i]),
                 }
             )
+        # drop this N's band arrays, so they do not add to the next grid's peak
+        del band_vals, absvals, triv, bound, ratios
     return {"eps": eps, "grid": grid, "band": band, "per_N": per_N, "rows": rows}
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .measures import _csum, _unit_phases
+from .measures import _MAX_EXACT_SITE, _csum, _two_product, _unit_phases
 
 __all__ = [
     "ApproxCertificate",
@@ -115,11 +115,44 @@ def smallest_denominator(beta, N: int) -> Fraction:
 
 
 def weyl_sum(N: int, beta: float) -> complex:
-    """(1/N) sum_{j=1}^{N} e(j^2 beta), compensated direct summation."""
+    """(1/N) sum_{j=1}^{N} e(j^2 beta), compensated direct summation.
+
+    Write beta mod 1 as m/D in lowest terms (D is a power of two).  When
+    D <= N and N^2 m < 2^53, every product j^2 beta is exact in double
+    precision, so the phase of j is exactly e((j^2 m mod D) / D) and depends
+    only on j^2 mod D.  The sum then runs over the residues s present, each
+    phase weighted by the number of j <= N with j^2 = s (mod D): O(D) work
+    instead of O(N).  Each count * phase product is split exactly into two
+    doubles, and ``fsum`` rounds the exact total once, so the result is the
+    same double as the N-term sum.  Every other beta takes the N-term sum.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
+    b = float(beta) % 1.0
+    m, D = b.as_integer_ratio()
+    if D <= N and N * N * m < _MAX_EXACT_SITE:
+        return _residue_sum(N, m, D) / N
     j = np.arange(1, N + 1, dtype=np.int64)
-    return _csum(_unit_phases(j * j, float(beta) % 1.0)) / N
+    return _csum(_unit_phases(j * j, b)) / N
+
+
+def _residue_sum(N: int, m: int, D: int) -> complex:
+    """sum_{j=1}^{N} e(j^2 m / D), correctly rounded, grouped by j^2 mod D."""
+    j = np.arange(1, D + 1, dtype=np.int64)
+    squares = j * j % D  # one period: (j + D)^2 = j^2 (mod D)
+    full, rest = divmod(N, D)
+    counts = full * np.bincount(squares, minlength=D) + np.bincount(
+        squares[:rest], minlength=D
+    )
+    s = np.flatnonzero(counts)
+    phases = np.exp((2j * math.pi) * ((s * m % D) / D))
+    c = counts[s].astype(np.float64)
+    re_hi, re_lo = _two_product(c, phases.real)
+    im_hi, im_lo = _two_product(c, phases.imag)
+    return complex(
+        math.fsum(re_hi.tolist() + re_lo.tolist()),
+        math.fsum(im_hi.tolist() + im_lo.tolist()),
+    )
 
 
 def gauss_sum(p: int, q: int | None = None) -> complex:

@@ -14,8 +14,10 @@ from ergodecay.measures import _csum, _from_arrays, _uniform_on
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
 
-# One command per subcommand; each data file must be byte-identical across
-# runs and across refactors.  ``--out`` is appended by the runner.
+# One command per subcommand, plus a weyl-audit whose Weyl sums take the
+# residue-grouped path (grid 64 <= N, N not always a multiple of 64); each
+# data file must be byte-identical across runs and across refactors.
+# ``--out`` is appended by the runner.
 CLI_COMMANDS = {
     "fourier": ["fourier", "--family", "perturbed:power:0.25", "--n", "64", "--grid", "256"],
     "triviality": ["triviality", "--family", "squares", "--n", "64", "--tol", "1e-2"],
@@ -23,6 +25,7 @@ CLI_COMMANDS = {
     "cz-check": ["cz-check", "--count", "25", "--lambdas", "6", "--seed", "7"],
     "maximal": ["maximal", "--family", "squares", "--indices", "2,4,8", "--seed", "1"],
     "weyl-audit": ["weyl-audit", "--grid", "128", "--n", "32,64"],
+    "weyl-audit-grouped": ["weyl-audit", "--grid", "64", "--n", "2,3,100,1000"],
     "threshold-audit": ["threshold-audit", "--rho", "power:0.25", "--n-list", "256,512", "--grid", "16384"],
     "residues": ["residues", "--rho", "log:1", "--q", "15", "--n-list", "100000,200000"],
     "dynsys-trace": [

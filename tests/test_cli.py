@@ -31,11 +31,11 @@ def test_manifest_names_each_subcommand(tmp_path):
         rc, _ = run(tmp_path, f"{name}.dat", *args)
         assert rc == 0
         manifest = json.loads((tmp_path / f"{name}.dat.manifest.json").read_text())
-        assert manifest["command"] == name == args[0]
+        assert manifest["command"] == args[0]
 
 
 def test_failing_command_writes_no_manifest(tmp_path):
-    # the empty N list fails only after the CSV header is written
+    # an empty N list is a config error
     rc, _ = run(tmp_path, "w.csv", "weyl-audit", "--grid", "8", "--n", "")
     assert rc == 2
     assert not (tmp_path / "w.csv.manifest.json").exists()
@@ -102,6 +102,7 @@ def test_bad_family_exit_2(tmp_path):
     [
         ["weyl-audit", "--grid", "0", "--n", "8"],
         ["weyl-audit", "--n", "1"],
+        ["weyl-audit", "--grid", "8", "--n", ""],
         ["fourier", "--family", "squares", "--n", "4", "--grid", "1"],
         ["fourier", "--family", "squares", "--n", "0"],
         ["triviality", "--family", "squares", "--n", "4", "--tol", "0"],
@@ -113,6 +114,7 @@ def test_bad_family_exit_2(tmp_path):
          "--indices", ""],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
+        ["threshold-audit", "--rho", "power:1/4", "--n-list", ""],
         ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
     ],
     ids=lambda args: " ".join(args),

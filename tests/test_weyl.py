@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodecay import (
     convergents,
@@ -15,6 +17,7 @@ from ergodecay import (
     weyl_bound_audit,
     weyl_sum,
 )
+from ergodecay.measures import _csum, _unit_phases
 
 
 def brute_weyl(N, beta):
@@ -109,6 +112,66 @@ def test_weyl_periodicity_and_reflection():
         a = weyl_sum(N, beta)
         assert weyl_sum(N, beta + 1.0) == pytest.approx(a, abs=1e-9)
         assert weyl_sum(N, 1.0 - beta) == pytest.approx(a.conjugate(), abs=1e-9)
+
+
+def direct_weyl(N, beta):
+    """The N-term sum, one phase per j: the reference for the grouped path."""
+    j = np.arange(1, N + 1, dtype=np.int64)
+    return _csum(_unit_phases(j * j, float(beta) % 1.0)) / N
+
+
+def assert_same_bits(N, beta):
+    got, want = weyl_sum(N, beta), direct_weyl(N, beta)
+    assert got.real == want.real and got.imag == want.imag, (N, beta, got, want)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 1000, 4096, 5000])
+def test_weyl_sum_bit_identical_on_dyadic_grid(N):
+    for D in (1, 2, 8, 64, 1024):
+        for m in range(D):
+            assert_same_bits(N, m / D)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5000), st.integers(0, 13), st.data())
+def test_weyl_sum_bit_identical_dyadic_property(N, e, data):
+    m = data.draw(st.integers(0, (1 << e) - 1))
+    assert_same_bits(N, m / (1 << e))
+
+
+@pytest.mark.parametrize(
+    "N, beta",
+    [
+        (1000, 0.1),
+        (1000, 1 / 3),
+        (1000, -0.25),  # = 3/4 mod 1
+        (1000, -0.1),
+        (1000, 1.0),
+        (1000, 2.375),
+        (5000, 7.5),
+        (100, -1e-20),  # mod 1 rounds to 1.0
+        # D <= N but N^2 m >= 2^53: the N-term path
+        (1 << 18, ((1 << 18) - 1) / (1 << 18)),
+    ],
+)
+def test_weyl_sum_bit_identical_off_grid(N, beta):
+    assert_same_bits(N, beta)
+
+
+@pytest.mark.parametrize("N", [5, 63, 64, 65, 1000, 4097])
+@pytest.mark.parametrize("m, D", [(1, 4), (3, 64), (77, 1024)])
+def test_exp_bits_independent_of_position(N, m, D):
+    # The grouped path evaluates np.exp on the distinct residues only; it
+    # matches the N-term sum only if each phase has the same bits wherever it
+    # sits in an array, whatever the array's length.
+    j = np.arange(1, N + 1, dtype=np.int64)
+    full = _unit_phases(j * j, m / D)
+    s, first = np.unique(j * j % D, return_index=True)
+    fractions = (s * m % D) / D
+    for offset in range(8):
+        padded = np.concatenate([np.linspace(0.0, 1.0, offset, endpoint=False), fractions])
+        phases = np.exp((2j * math.pi) * padded)[offset:]
+        assert phases.tobytes() == full[first].tobytes(), (N, m, D, offset)
 
 
 # -- gauss sums -------------------------------------------------------------------
