@@ -69,7 +69,6 @@ from .measures import (
     modulate,
     point_mass,
     triviality_sup,
-    write_fourier_csv,
 )
 from .selection import (
     SelectionState,

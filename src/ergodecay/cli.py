@@ -30,8 +30,8 @@ from .dynsys import (
 )
 from .errors import ConfigError, ResourceCapError, SelectionStalled, VerificationError
 from .families import parse_family, parse_rho
-from .measures import make_measure, triviality_sup, write_fourier_csv
-from .selection import select_subsequence, selection_to_json, verify_selection
+from .measures import fourier_grid, make_measure, triviality_sup
+from .selection import select_subsequence, verify_selection
 from .threshold import residue_density, transform_bound_audit
 from .weyl import weyl_bound_audit
 
@@ -49,8 +49,12 @@ def _write_manifest(out_path: str, command: str, config: dict) -> None:
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+    _write_json(out_path + ".manifest.json", manifest)
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
@@ -86,7 +90,10 @@ def _config_of(args: argparse.Namespace) -> dict:
 
 def cmd_fourier(args) -> int:
     family = parse_family(args.family)
-    write_fourier_csv(args.out, family.measure(args.n), args.grid)
+    G = args.grid
+    vals = map(complex, fourier_grid(family.measure(args.n), G))
+    rows = ((m / G, v.real, v.imag, abs(v)) for m, v in enumerate(vals))
+    _write_csv(args.out, ["gamma", "re", "im", "abs"], rows)
     print(f"fourier: {family.descriptor} n={args.n} grid={args.grid} -> {args.out}")
     return EXIT_OK
 
@@ -103,9 +110,7 @@ def cmd_triviality(args) -> int:
         "upper": bracket.upper,
         "grid_size": bracket.grid_size,
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, payload)
     print(
         f"triviality: {family.descriptor} n={args.n} "
         f"sup in [{bracket.lower:.6g}, {bracket.upper:.6g}]"
@@ -119,9 +124,7 @@ def cmd_select(args) -> int:
         family, args.k, search_cap=args.cap, sup_tol=args.sup_tol
     )
     verify_selection(family, state)
-    with open(args.out, "w") as fh:
-        fh.write(selection_to_json(state))
-        fh.write("\n")
+    _write_json(args.out, state.to_dict())
     print(f"select: {family.descriptor} chose {state.chosen}")
     return EXIT_OK
 
@@ -144,13 +147,10 @@ def cmd_cz_check(args) -> int:
                     f"cz-check case {case} lambda={lam!r} violated an invariant: {rep}"
                 )
             reports.append({"case": case, **rep})
-    with open(args.out, "w") as fh:
-        json.dump(
-            {"cases": args.count, "worst_reconstruction_error": worst, "reports": reports},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    _write_json(
+        args.out,
+        {"cases": args.count, "worst_reconstruction_error": worst, "reports": reports},
+    )
     print(f"cz-check: {args.count} cases x {args.lambdas} lambdas, all invariants hold")
     return EXIT_OK
 

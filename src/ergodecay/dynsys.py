@@ -44,12 +44,6 @@ class System:
     alpha_den: int = 1
     modulus: int = 0  # cyclic shift on Z_modulus
 
-    @property
-    def descriptor(self) -> str:
-        if self.kind == "rotation":
-            return f"rotation:{self.alpha_num}/{self.alpha_den}"
-        return f"cyclic:{self.modulus}"
-
 
 def rotation_system(alpha) -> System:
     """Torus rotation by an exact rational surrogate of alpha."""
@@ -80,22 +74,6 @@ class ObservedFunction:
     b: float = 0.0
     m: int = 0  # trig frequency
     table: tuple = ()  # values on Z_M
-
-    @property
-    def descriptor(self) -> str:
-        if self.kind == "indicator":
-            return f"indicator:{self.a}:{self.b}"
-        if self.kind == "trig":
-            return f"trig:{self.m}"
-        return f"table[{len(self.table)}]"
-
-    def mean(self) -> complex:
-        """Closed-form space average."""
-        if self.kind == "indicator":
-            return (self.b - self.a) % 1.0
-        if self.kind == "trig":
-            return 1.0 if self.m == 0 else 0.0
-        return complex(np.mean(np.asarray(self.table)))
 
 
 def indicator_function(a: float, b: float) -> ObservedFunction:
@@ -137,6 +115,15 @@ def _rotation_fractions(
     return np.array(fracs, dtype=np.float64)
 
 
+def _in_arc(pts: np.ndarray, lo, hi) -> np.ndarray:
+    """Indicator of [lo, hi) on the circle, wrapping around when lo > hi."""
+    if lo <= hi:
+        inside = (pts >= lo) & (pts < hi)
+    else:
+        inside = (pts >= lo) | (pts < hi)
+    return inside.astype(np.complex128)
+
+
 def weighted_average(sys: System, f: ObservedFunction, mu: WeightedMeasure, x) -> complex:
     """sum_j f(tau^j x) mu(j): the weighted ergodic average at x."""
     if mu.n_atoms == 0:
@@ -147,11 +134,7 @@ def weighted_average(sys: System, f: ObservedFunction, mu: WeightedMeasure, x) -
             fr = _rotation_fractions(sys, xf, mu.sites, mult=f.m)
             values = np.exp(2j * math.pi * fr)
         elif f.kind == "indicator":
-            pts = _rotation_fractions(sys, xf, mu.sites)
-            if f.a <= f.b:
-                values = ((pts >= f.a) & (pts < f.b)).astype(np.complex128)
-            else:  # wrap-around interval
-                values = ((pts >= f.a) | (pts < f.b)).astype(np.complex128)
+            values = _in_arc(_rotation_fractions(sys, xf, mu.sites), f.a, f.b)
         else:
             raise ConfigError("table observables need a cyclic system")
         return complex(np.dot(mu.weights, values))
@@ -165,12 +148,7 @@ def weighted_average(sys: System, f: ObservedFunction, mu: WeightedMeasure, x) -
         elif f.kind == "trig":
             values = np.exp(2j * math.pi * ((f.m * pos) % M) / M)
         elif f.kind == "indicator":
-            lo = int(f.a * M) % M
-            hi = int(f.b * M) % M
-            if lo <= hi:
-                values = ((pos >= lo) & (pos < hi)).astype(np.complex128)
-            else:
-                values = ((pos >= lo) | (pos < hi)).astype(np.complex128)
+            values = _in_arc(pos, int(f.a * M) % M, int(f.b * M) % M)
         return complex(np.dot(mu.weights, values))
     raise ConfigError(f"unknown system kind {sys.kind!r}")
 

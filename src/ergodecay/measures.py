@@ -57,7 +57,6 @@ __all__ = [
     "modulate",
     "measure_to_json",
     "measure_from_json",
-    "write_fourier_csv",
 ]
 
 
@@ -472,13 +471,3 @@ def measure_to_json(mu: WeightedMeasure) -> str:
 def measure_from_json(text: str) -> WeightedMeasure:
     triples = json.loads(text)
     return make_measure([(int(s), complex(re, im)) for s, re, im in triples])
-
-
-def write_fourier_csv(path, mu: WeightedMeasure, G: int) -> None:
-    """CSV export of the Fourier grid with columns gamma,re,im,abs."""
-    vals = fourier_grid(mu, G)
-    with open(path, "w", newline="") as fh:
-        fh.write("gamma,re,im,abs\n")
-        for m in range(G):
-            v = complex(vals[m])
-            fh.write(f"{m / G!r},{v.real!r},{v.imag!r},{abs(v)!r}\n")

@@ -74,6 +74,19 @@ def _check_j_range(rho: RhoSpec, j: int, horizon: int | None) -> None:
         raise ValueError(f"block index {j} above horizon {horizon}")
 
 
+def _block_range(
+    rho: RhoSpec, j: int, floor_fn, power: int
+) -> tuple[float, float, int, int]:
+    """Endpoints (lo, hi) of I_j and the integer range [m_lo, m_hi] of m with
+    floor_fn(m) = j, where floor_fn(m) = floor(rho(m^(1/power))); m_lo > m_hi
+    means empty.  The endpoints raised to ``power`` only seed the searches."""
+    lo = max(0.0, rho.inverse(j)) if j > 0 else 0.0
+    hi = rho.inverse(j + 1)
+    m_lo = _first_with_floor_ge(floor_fn, j, max(1, math.ceil(lo**power)))
+    m_hi = _first_with_floor_ge(floor_fn, j + 1, max(1, math.ceil(hi**power))) - 1
+    return lo, hi, m_lo, m_hi
+
+
 def block_structure(rho: RhoSpec, j: int, horizon: int | None = None) -> BlockStructure:
     """Endpoints via the exact inverse; integer content via exact floors."""
     _check_j_range(rho, j, horizon)
@@ -81,10 +94,7 @@ def block_structure(rho: RhoSpec, j: int, horizon: int | None = None) -> BlockSt
         k_hi = horizon if horizon is not None else np.iinfo(np.int64).max
         count = horizon if horizon is not None else -1
         return BlockStructure(j, 0.0, math.inf, math.inf, 1, int(k_hi), int(count))
-    lo = max(0.0, rho.inverse(j)) if j > 0 else 0.0
-    hi = rho.inverse(j + 1)
-    k_lo = _first_with_floor_ge(rho.floor_at_int, j, max(1, math.ceil(lo)))
-    k_hi = _first_with_floor_ge(rho.floor_at_int, j + 1, max(1, math.ceil(hi))) - 1
+    lo, hi, k_lo, k_hi = _block_range(rho, j, rho.floor_at_int, 1)
     if horizon is not None:
         k_hi = min(k_hi, horizon)
     count = max(0, k_hi - k_lo + 1)
@@ -103,42 +113,29 @@ _CHUNK = 1 << 20
 
 
 def _chunked_sum(lo: int, hi: int, term_fn) -> complex:
-    """sum of term_fn(arange-chunk) over [lo, hi], bounded memory."""
-    partials_re = []
-    partials_im = []
-    for start in range(lo, hi + 1, _CHUNK):
-        stop = min(start + _CHUNK - 1, hi)
-        idx = np.arange(start, stop + 1, dtype=np.int64)
-        chunk = term_fn(idx)
-        partials_re.append(math.fsum(chunk.real))
-        partials_im.append(math.fsum(chunk.imag))
-    return complex(math.fsum(partials_re), math.fsum(partials_im))
+    """Correctly rounded sum of term_fn(arange-chunk) over [lo, hi] (0 when
+    lo > hi), with bounded memory: each component is one ``fsum`` fed chunk
+    by chunk, so term_fn runs twice per chunk."""
+
+    def terms(part):
+        for start in range(lo, hi + 1, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
+            yield from part(term_fn(idx)).tolist()
+
+    return complex(math.fsum(terms(np.real)), math.fsum(terms(np.imag)))
 
 
 def block_sum(rho: RhoSpec, j: int, beta: float, horizon: int | None = None) -> complex:
     """sum over integers k in I_j of e(k^2 beta)."""
     bs = block_structure(rho, j, horizon)
-    if bs.k_lo > bs.k_hi:
-        return 0.0
     b = float(beta) % 1.0
     return _chunked_sum(bs.k_lo, bs.k_hi, lambda k: _unit_phases(k * k, b))
-
-
-def _sqrt_block_range(rho: RhoSpec, j: int) -> tuple[int, int]:
-    """Integer range of l with sqrt(l) in I_j (inclusive; lo > hi means empty)."""
-    lo_x = max(0.0, rho.inverse(j)) if j > 0 else 0.0
-    hi_x = rho.inverse(j + 1)
-    l_lo = _first_with_floor_ge(rho.floor_at_sqrt, j, max(1, math.ceil(lo_x**2)))
-    l_hi = _first_with_floor_ge(rho.floor_at_sqrt, j + 1, max(1, math.ceil(hi_x**2))) - 1
-    return l_lo, l_hi
 
 
 def block_sqrt_sum(rho: RhoSpec, j: int, alpha: float) -> complex:
     """sum over integers l with sqrt(l) in I_j of e(l alpha) (unweighted)."""
     _check_j_range(rho, j, None)
-    l_lo, l_hi = _sqrt_block_range(rho, j)
-    if l_lo > l_hi:
-        return 0.0
+    _, _, l_lo, l_hi = _block_range(rho, j, rho.floor_at_sqrt, 2)
     a = float(alpha) % 1.0
     return _chunked_sum(l_lo, l_hi, lambda l: _unit_phases(l, a))
 
@@ -146,9 +143,7 @@ def block_sqrt_sum(rho: RhoSpec, j: int, alpha: float) -> complex:
 def vj_sum(rho: RhoSpec, j: int, alpha: float) -> complex:
     """V_j(alpha) = sum_{l: sqrt(l) in I_j} e(l alpha) / (2 sqrt(l))."""
     _check_j_range(rho, j, None)
-    l_lo, l_hi = _sqrt_block_range(rho, j)
-    if l_lo > l_hi:
-        return 0.0
+    _, _, l_lo, l_hi = _block_range(rho, j, rho.floor_at_sqrt, 2)
     a = float(alpha) % 1.0
     return _chunked_sum(
         l_lo, l_hi, lambda l: _unit_phases(l, a) / (2.0 * np.sqrt(l.astype(np.float64)))
@@ -233,10 +228,16 @@ def transform_bound_audit(
     """Tabulate |mu_hat_N| against N^(-eps/7) + L_{floor(rho(N))}/(N ||beta||)
     over the frequency grid points in ``_AUDIT_BAND``, and track the triviality functional's grid max:
     the computable shadow of asymptotic triviality (or its failure).
+
+    ``row_betas`` (>= 1) sets how many band points get a row per N: every
+    ``max(1, len(band) // row_betas)``-th one, so at least ``row_betas`` rows
+    (every band point when the band has fewer).
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
+    if row_betas < 1:
+        raise ValueError(f"row_betas must be >= 1, got {row_betas}")
     eps = rho.epsilon if eps is None else float(eps)
     gam = np.arange(grid) / grid
     band = _AUDIT_BAND

@@ -137,7 +137,11 @@ def weyl_sum(N: int, beta: float) -> complex:
 
 
 def _residue_sum(N: int, m: int, D: int) -> complex:
-    """sum_{j=1}^{N} e(j^2 m / D), correctly rounded, grouped by j^2 mod D."""
+    """sum_{j=1}^{N} e(j^2 m / D), correctly rounded, grouped by j^2 mod D.
+
+    The one residue-class transform behind both ``weyl_sum`` (N terms at a
+    dyadic frequency m/D) and ``gauss_sum`` (one full period, N = D = q).
+    """
     j = np.arange(1, D + 1, dtype=np.int64)
     squares = j * j % D  # one period: (j + D)^2 = j^2 (mod D)
     full, rest = divmod(N, D)
@@ -164,9 +168,7 @@ def gauss_sum(p: int, q: int | None = None) -> complex:
         raise ValueError("denominator must be positive")
     if math.gcd(p, q) != 1:
         raise ValueError("p/q must be in lowest terms")
-    n = np.arange(q, dtype=np.int64)
-    residues = (n * n % q) * (p % q) % q
-    return _csum(np.exp((2j * math.pi) * (residues / q))) / q
+    return _residue_sum(q, p % q, q) / q
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ def test_fourier_writes_csv_and_manifest(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "gamma,re,im,abs"
     assert len(lines) == 17
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
     manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
     assert manifest["command"] == "fourier"
     assert manifest["config"]["family"] == "squares"
@@ -115,6 +118,10 @@ def test_bad_family_exit_2(tmp_path):
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", ""],
+        ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1024",
+         "--row-betas", "0"],
+        ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1024",
+         "--row-betas", "-3"],
         ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
     ],
     ids=lambda args: " ".join(args),

@@ -24,7 +24,6 @@ from ergodecay import (
     sigma_n,
     squares_measure,
     triviality_sup,
-    write_fourier_csv,
 )
 from ergodecay import measures
 from ergodecay.measures import _fold_mod, _triviality_on_grid
@@ -483,14 +482,3 @@ def test_probability_measure_transform_bounds():
 def test_json_roundtrip():
     mu = make_measure([(4, 0.5), (9, 0.5j), (-3, -1.25)])
     assert measure_from_json(measure_to_json(mu)) == mu
-
-
-def test_fourier_csv(tmp_path):
-    path = tmp_path / "grid.csv"
-    write_fourier_csv(path, squares_measure(5), 8)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "gamma,re,im,abs"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(1.0, abs=1e-12)

@@ -24,6 +24,7 @@ from ergodecay import (
     transform_bound_audit,
     vj_sum,
 )
+from ergodecay import threshold
 
 RHO4 = rho_power(Fraction(1, 4))
 
@@ -141,6 +142,15 @@ def test_empty_integer_block_sums_to_zero():
     assert int(rho.floor_at_int(1)) == 2 and int(rho.floor_at_int(2)) == 4
     assert block_sum(rho, 3, 0.3) == 0.0
     assert block_structure(rho, 3).integer_count == 0
+
+
+def test_chunked_sum_rounds_once_across_chunks(monkeypatch):
+    # with two-term chunks, rounding each chunk first turns 1e16 + 1 into its
+    # even neighbour 1e16, and the total into 0
+    monkeypatch.setattr(threshold, "_CHUNK", 2)
+    terms = np.array([1e16, 1.0, -1e16], dtype=np.complex128)
+    assert threshold._chunked_sum(0, 2, lambda k: terms[k]) == 1 + 0j
+    assert threshold._chunked_sum(3, 2, lambda k: terms[k]) == 0
 
 
 def test_vj_sum_brute_oracle():

@@ -204,6 +204,26 @@ def test_gauss_magnitudes_small_moduli():
                 assert got == pytest.approx(brute_gauss(p, q), abs=1e-12)
 
 
+def test_gauss_sum_bit_identical_to_direct_formula():
+    # the q-term formula gauss_sum evaluated before it became one period of
+    # the residue-class sum; p, p - q and p + q share the reference value
+    def direct(p, q):
+        n = np.arange(q, dtype=np.int64)
+        return _csum(np.exp((2j * math.pi) * ((n * n % q) * (p % q) % q / q))) / q
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    for q in [*range(1, 200), 4096, 4097, 65537, 100003]:
+        for r in range(q) if q < 200 else (1, q - 3, 7):
+            if math.gcd(r, q) != 1:
+                continue
+            want = bits(direct(r, q))
+            for p in (r - q, r, r + q):
+                assert bits(gauss_sum(p, q)) == want, (p, q)
+            assert bits(gauss_sum(Fraction(r - q, q))) == want, (r - q, q)
+
+
 def test_gauss_rejects_unreduced():
     with pytest.raises(ValueError):
         gauss_sum(2, 4)
