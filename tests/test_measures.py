@@ -26,6 +26,7 @@ from ergodecay import (
     triviality_sup,
 )
 from ergodecay import measures
+from ergodecay.cli import main
 from ergodecay.measures import _fold_mod, _triviality_on_grid
 from helpers import uniform_zero_based_family
 
@@ -482,3 +483,16 @@ def test_probability_measure_transform_bounds():
 def test_json_roundtrip():
     mu = make_measure([(4, 0.5), (9, 0.5j), (-3, -1.25)])
     assert measure_from_json(measure_to_json(mu)) == mu
+
+
+def test_fourier_csv(tmp_path):
+    # the grid CSV is written by the fourier subcommand
+    path = tmp_path / "grid.csv"
+    args = ["fourier", "--family", "squares", "--n", "5", "--grid", "8", "--out", str(path)]
+    assert main(args) == 0
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "gamma,re,im,abs"
+    assert len(lines) == 9
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[1]) == pytest.approx(1.0, abs=1e-12)
