@@ -199,9 +199,19 @@ def _from_arrays(sites: np.ndarray, weights: np.ndarray) -> WeightedMeasure:
 
 
 def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
-    """Uniform probability measure on the given strictly increasing sites."""
+    """Uniform probability measure on the given sites: weight 1/N on each.
+
+    Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
+    increasing sites (the families' case) skip its checks: 1/N is nonzero and
+    the total variation N*(1/N) is the double ``_total_variation`` returns for
+    equal magnitudes.  Other sites go through ``_from_arrays``, which sorts
+    them and merges collisions.
+    """
     N = len(sites)
-    return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+    weights = np.full(N, 1.0 / N, dtype=np.complex128)
+    if N > 1 and not np.all(sites[1:] > sites[:-1]):
+        return _from_arrays(sites, weights)
+    return WeightedMeasure(sites, weights, N * (1.0 / N))
 
 
 def _total_variation(weights: np.ndarray) -> float:
@@ -308,6 +318,7 @@ def _degree_and_lipschitz(mu: WeightedMeasure) -> tuple[int, float]:
 
 
 _FP_SLACK = 1e-12  # absolute allowance for roundoff in grid evaluation
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _upper_from_grid(gridmax: float, G: int, degree: int, lip: float) -> float:
@@ -411,20 +422,58 @@ def triviality_sup(
     )
 
 
+def _quarter_witness(mu: WeightedMeasure) -> float:
+    """Certified lower bound on max_{a=1,2,3} |T(a/4)|, T = (1 - e) mu_hat.
+
+    With W_r the weight on sites = r mod 4 (the fold mod 4),
+    T(a/4) = (1 - i^a) sum_r W_r i^(ar).  The powers of i only swap and
+    negate, so the roundoff is that of the ``bincount`` sums, at most
+    gamma_n * sum(|Re w| + |Im w|) <= sqrt(2) gamma_n TV, and of a few
+    operations on sums bounded by 2 TV.  The slack 4 gamma_(n+8) TV covers
+    both and the rounding of the subtraction.  The 2*_FP_SLACK on top keeps
+    the witness at or below the coarse-grid lower bound, whose grid holds the
+    points a/4, whenever that grid's FFT roundoff stays below _FP_SLACK (the
+    premise of the grid lower bound itself).
+    """
+    w0, w1, w2, w3 = _fold_mod(mu, 4).tolist()
+    even, odd = w0 - w2, w1 - w3  # sum_r W_r i^(ar) = even + i^a odd for odd a
+    t1 = (1 - 1j) * (even + 1j * odd)
+    t2 = 2 * ((w0 + w2) - (w1 + w3))
+    t3 = (1 + 1j) * (even - 1j * odd)
+    m = mu.n_atoms + 8
+    gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+    slack = 4.0 * gamma * mu.total_variation + 2 * _FP_SLACK
+    return max(abs(t1), abs(t2), abs(t3)) - slack
+
+
 def certify_sup_below(
     mu: WeightedMeasure,
     threshold: float,
     grid_cap: int = DEFAULT_GRID_CAP,
+    skip_above: float = math.inf,
 ) -> tuple[bool | None, float, float, int]:
     """Decide whether the triviality functional is provably <= threshold.
 
     Returns (verdict, lower, upper, grid): verdict True or False when decided,
     None when no grid within the cap can close the gap.  ``lower`` is always a
-    certified lower bound (an exactly evaluated grid point), ``upper`` the
-    smallest rigorous upper bound reached.
+    certified lower bound: an exactly evaluated grid point less roundoff, or a
+    quarter-frequency witness.  ``upper`` is the smallest rigorous upper bound
+    reached, and inf on a witness rejection.
+
+    With a finite ``skip_above``, the witness at gamma = 1/4, 1/2, 3/4 is
+    computed first, from four residue sums; when it exceeds both the threshold
+    and ``skip_above``, the call returns (False, witness, inf, 0) without
+    evaluating any grid.  The witness is no larger than the coarse-grid lower
+    bound (see ``_quarter_witness``), so a caller that keeps the minimum of
+    ``lower`` and passes that minimum as ``skip_above`` sees the same minimum
+    and the same verdicts.
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
+    if skip_above < math.inf:
+        witness = _quarter_witness(mu)
+        if witness > threshold and witness > skip_above:
+            return False, witness, math.inf, 0
 
     def next_width(lower, upper):
         # done when decided, or when sup and threshold agree to roundoff (no

@@ -131,6 +131,14 @@ def select_subsequence(
     Deterministic: same family and parameters give the same state.  Raises
     SelectionStalled when some stage exhausts the cap; the report carries the
     smallest certified lower bound seen at that stage.
+
+    Each candidate gets one ``certify_sup_below`` call with the stage's running
+    minimum of lower bounds as ``skip_above``, so a candidate whose
+    quarter-frequency witness already exceeds both the bound and that minimum
+    is rejected without a grid.  Its coarse-grid lower bound would have been at
+    least the witness, so it could not have lowered the minimum: the reported
+    ``best_sup_lower`` and the counts are those of a grid run on every
+    candidate, and no admissible candidate is skipped (witness <= sup <= bound).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -163,7 +171,9 @@ def select_subsequence(
                 n_skipped_S += 1
                 continue
             mu = family.measure(n)
-            verdict, lower, upper, _grid = certify_sup_below(mu, bound, grid_cap=grid_cap)
+            verdict, lower, upper, _grid = certify_sup_below(
+                mu, bound, grid_cap=grid_cap, skip_above=best_lower
+            )
             best_lower = min(best_lower, lower)
             if verdict is True:
                 accepted = (n, S_n, upper)

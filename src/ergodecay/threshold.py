@@ -126,7 +126,10 @@ def _chunked_sum(lo: int, hi: int, term_fn) -> complex:
 
 
 def block_sum(rho: RhoSpec, j: int, beta: float, horizon: int | None = None) -> complex:
-    """sum over integers k in I_j of e(k^2 beta)."""
+    """sum over integers k in I_j of e(k^2 beta); constant rho needs a horizon,
+    since its one block holds every k >= 1."""
+    if rho.kind == "constant" and horizon is None:
+        raise ConfigError("block sum of a constant rho needs a horizon")
     bs = block_structure(rho, j, horizon)
     b = float(beta) % 1.0
     return _chunked_sum(bs.k_lo, bs.k_hi, lambda k: _unit_phases(k * k, b))

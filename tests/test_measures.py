@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergodecay import (
@@ -17,6 +17,7 @@ from ergodecay import (
     measure_from_json,
     measure_to_json,
     modulate,
+    parse_family,
     perturbed_squares_measure,
     point_mass,
     rho_power,
@@ -27,7 +28,14 @@ from ergodecay import (
 )
 from ergodecay import measures
 from ergodecay.cli import main
-from ergodecay.measures import _fold_mod, _triviality_on_grid
+from ergodecay.measures import (
+    _FP_SLACK,
+    _fold_mod,
+    _from_arrays,
+    _quarter_witness,
+    _triviality_on_grid,
+    _uniform_on,
+)
 from helpers import uniform_zero_based_family
 
 
@@ -382,6 +390,104 @@ def test_certify_sup_below_roundoff_tie_is_undecided():
     assert verdict is None
     assert grid == 4096
     assert lower <= 0.125 <= upper
+
+
+# -- quarter-frequency witness -------------------------------------------------
+
+
+def _exact_quarter_max_sq(mu):
+    """max_{a=1,2,3} |(1 - i^a) mu_hat(a/4)|^2 in exact rational arithmetic."""
+    W = [[Fraction(0), Fraction(0)] for _ in range(4)]
+    for site, w in zip(mu.sites.tolist(), mu.weights.tolist()):
+        W[site % 4][0] += Fraction(w.real)
+        W[site % 4][1] += Fraction(w.imag)
+    best = Fraction(0)
+    for a in (1, 2, 3):
+        re = im = Fraction(0)
+        for r, (x, y) in enumerate(W):
+            for _ in range(a * r % 4):  # times i
+                x, y = -y, x
+            re, im = re + x, im + y
+        x, y = re, im
+        for _ in range(a):
+            x, y = -y, x
+        best = max(best, (re - x) ** 2 + (im - y) ** 2)
+    return best
+
+
+@st.composite
+def _cancelling_measures(draw):
+    """Groups of three atoms on one residue class mod 4: +big, a small
+    complex weight and -big, in random site order, so that the float residue
+    sums lose the small weight to rounding; total variation up to 1e9."""
+    groups = draw(st.integers(1, 8))
+    atoms = []
+    for _ in range(groups):
+        big = draw(st.floats(0.0, 1e9 / (2 * groups))) * draw(
+            st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2)])
+        )
+        small = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        base = draw(st.integers(-(1 << 40), (1 << 40) - (1 << 39)))
+        offsets = draw(st.lists(st.integers(0, 1 << 37), min_size=3, max_size=3))
+        for k, w in zip(offsets, (big, small, -big)):
+            atoms.append((base + 4 * k, w))
+    return make_measure(atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_measures())
+@example(make_measure([(0, 5e8), (4, 0.003), (8, -5e8)]))  # 5e8 + 0.003 rounds up
+def test_quarter_witness_is_below_exact_quarter_values(mu):
+    witness = _quarter_witness(mu)
+    assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
+
+
+@pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "rotated:quadratic"])
+def test_quarter_witness_below_coarse_grid_lower_bound(family):
+    # gamma = 1/4, 1/2, 3/4 lie on the coarse grid, so a witness rejection
+    # reports no more than the grid lower bound the candidate would have had
+    fam = parse_family(family)
+    for n in range(1, 2001):
+        mu = fam.measure(n)
+        grid_lower = float(np.max(_triviality_on_grid(mu, measures._COARSE_GRID))) - _FP_SLACK
+        assert _quarter_witness(mu) <= grid_lower, n
+
+
+def test_certify_sup_below_witness_rejection():
+    mu = squares_measure(100)  # squares sit on residues 0 and 1 mod 4: |T(1/4)| is 1
+    grid = certify_sup_below(mu, 0.01)
+    witness = _quarter_witness(mu)
+    assert grid[0] is False and 0.01 < witness <= grid[1]
+    # rejected from the witness only when it exceeds both threshold and skip_above
+    assert certify_sup_below(mu, 0.01, skip_above=witness / 2) == (False, witness, math.inf, 0)
+    assert certify_sup_below(mu, 0.01, skip_above=witness) == grid
+    assert certify_sup_below(mu, witness, skip_above=0.0) == certify_sup_below(mu, witness)
+
+
+# -- _uniform_on ---------------------------------------------------------------
+
+
+def _assert_bit_identical(got, ref):
+    assert got.sites.dtype == ref.sites.dtype and got.weights.dtype == ref.weights.dtype
+    assert got.sites.tobytes() == ref.sites.tobytes()
+    assert got.weights.tobytes() == ref.weights.tobytes()
+    assert got.total_variation.hex() == ref.total_variation.hex()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 4000, 1 << 20])
+def test_uniform_on_matches_from_arrays_on_increasing_sites(N):
+    rng = np.random.default_rng(N)
+    sites = np.cumsum(rng.integers(1, 1000, size=N)) - 300 * N
+    _assert_bit_identical(_uniform_on(sites), _from_arrays(sites, np.full(N, 1 / N, dtype=complex)))
+
+
+@pytest.mark.parametrize("sites", [[3, 1, 3], [5, 2], [4, 4], [0, 7, 7, -2, 0]])
+def test_uniform_on_merges_unsorted_and_colliding_sites(sites):
+    sites = np.array(sites, dtype=np.int64)
+    N = len(sites)
+    got = _uniform_on(sites)
+    _assert_bit_identical(got, _from_arrays(sites, np.full(N, 1 / N, dtype=complex)))
+    assert np.all(got.sites[1:] > got.sites[:-1])
 
 
 # -- convolve -----------------------------------------------------------------

@@ -169,6 +169,26 @@ def test_stalled_selection_reads_each_support_radius_once(base, count, cap, chos
     assert reads == list(range(1, cap + 1))
 
 
+def test_select_scan_stall_report_at_cap_8000():
+    # the whole report of the benchmark's select-scan, so the fast loop guards
+    # the running-minimum rule: the quarter-frequency witness rejects most
+    # candidates without a grid and must leave every field, best_sup_lower to
+    # the last bit included, as a coarse grid on every candidate gives it
+    with pytest.raises(SelectionStalled) as exc:
+        select_subsequence(parse_family("perturbed:power:0.25"), 3, search_cap=8000)
+    assert exc.value.report == {
+        "family": "perturbed:power:0.25",
+        "stage": 2,
+        "bound": 2.0**-6,
+        "best_sup_lower": 0.21033090674203458,
+        "rejected": 7999,
+        "uncertifiable": 0,
+        "skipped_support": 0,
+        "search_cap": 8000,
+        "chosen_so_far": [1],
+    }
+
+
 def test_select_perturbed_small_cap_stalls():
     fam = parse_family("perturbed:power:1/4")
     with pytest.raises(SelectionStalled) as exc:

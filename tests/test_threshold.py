@@ -144,6 +144,14 @@ def test_empty_integer_block_sums_to_zero():
     assert block_structure(rho, 3).integer_count == 0
 
 
+def test_block_sum_constant_rho_needs_a_horizon():
+    # without a horizon the one block is k >= 1, a sum of 2^63 terms
+    with pytest.raises(ConfigError):
+        block_sum(rho_constant(3.5), 3, 0.1)
+    # with one it is a finite sum: k = 1..8 at beta = 0 counts 8
+    assert block_sum(rho_constant(3.5), 3, 0.0, horizon=8) == 8
+
+
 def test_chunked_sum_rounds_once_across_chunks(monkeypatch):
     # with two-term chunks, rounding each chunk first turns 1e16 + 1 into its
     # even neighbour 1e16, and the total into 0
