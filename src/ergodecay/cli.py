@@ -14,6 +14,7 @@ import argparse
 import datetime
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -218,7 +219,7 @@ def cmd_threshold_audit(args) -> int:
     trend = ", ".join(
         f"N={p['N']}: triv={p['triviality_grid_max']:.4g}" for p in report["per_N"]
     )
-    print(f"threshold-audit: {trend} -> {args.out}")
+    print(f"threshold-audit: {trend}, shape from x0={rho.shape_from:.6g} -> {args.out}")
     return EXIT_OK
 
 
@@ -240,7 +241,7 @@ def cmd_residues(args) -> int:
     print(
         f"residues: Q={profile.Q} r_Q={profile.r_q} min nonzero density "
         f"{profile.min_nonzero_density:.5g} bound {profile.bound} "
-        f"stabilized={profile.stabilized}"
+        f"stabilized={profile.stabilized} shape from x0={rho.shape_from:.6g}"
     )
     return EXIT_OK
 
@@ -279,12 +280,11 @@ def _parse_system(text: str):
     if parts[0] == "rotation":
         if len(parts) == 1 or parts[1] == "golden":
             return golden_rotation()
-        if "/" in parts[1]:
+        try:
             num, den = parts[1].split("/")
-            from fractions import Fraction
-
             return rotation_system(Fraction(int(num), int(den)))
-        raise ConfigError(f"bad rotation spec {text!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad rotation spec {text!r}: {exc}") from exc
     if parts[0] == "cyclic":
         try:
             return cyclic_system(int(parts[1]))

@@ -171,6 +171,8 @@ def convergence_trace(
     K = len(measures)
     if K == 0:
         raise ValueError("need at least one measure")
+    if x_samples < 1:
+        raise ValueError(f"x_samples must be >= 1, got {x_samples}")
     if indices is None:
         indices = list(range(1, K + 1))
     rng = np.random.default_rng(seed)

@@ -51,11 +51,16 @@ __all__ = [
 _BOUNDARY_BAND = 1e-9  # float floors this close to an integer get a recheck
 _ROTATED_VARIANTS = ("quadratic", "linear")
 _FIRST_BLOCK = 1024  # sites a perturbed family computes on its first call
+_MAX_POWER_DENOMINATOR = 1000  # exact floors of k^(p/q) compare r^q with k^p
 
 
 @dataclass(frozen=True)
 class RhoSpec:
-    """A perturbation function rho with exact derivatives and inverse."""
+    """A perturbation function rho with exact derivatives and inverse.
+
+    It meets the paper's shape assumptions (rho up, rho' down, rho'' up to 0)
+    on [shape_from, inf), a closed form.
+    """
 
     kind: str  # "power" | "log_scaled" | "log_power" | "constant"
     param: object
@@ -67,6 +72,10 @@ class RhoSpec:
                 raise ConfigError("power exponent must be a Fraction")
             if not (Fraction(0) < a < Fraction(1, 3)):
                 raise ConfigError(f"power exponent must lie in (0, 1/3), got {a}")
+            if a.denominator > _MAX_POWER_DENOMINATOR:
+                raise ConfigError(
+                    f"power exponent {a} has a denominator above {_MAX_POWER_DENOMINATOR}"
+                )
         elif self.kind == "log_scaled":
             if not self.param > 0:
                 raise ConfigError("log scale must be positive")
@@ -103,19 +112,6 @@ class RhoSpec:
             return c * np.power(np.log1p(x), c - 1.0) / (1.0 + x)
         return np.zeros_like(x)
 
-    def deriv2(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "power":
-            a = float(self.param)
-            return a * (a - 1.0) * np.power(x, a - 2.0)
-        if self.kind == "log_scaled":
-            return -self.param / (1.0 + x) ** 2
-        if self.kind == "log_power":
-            c = self.param
-            lg = np.log1p(x)
-            return c * np.power(lg, c - 2.0) * ((c - 1.0) - lg) / (1.0 + x) ** 2
-        return np.zeros_like(x)
-
     def inverse(self, y: float) -> float:
         """Real solution of rho(x) = y on the attained range."""
         if self.kind == "power":
@@ -134,6 +130,23 @@ class RhoSpec:
         if self.kind == "power":
             return float(Fraction(1, 3) - self.param)
         return 0.05
+
+    @property
+    def shape_from(self) -> float:
+        """Least x0 >= 0 with rho' >= 0, rho'' <= 0 and rho''' >= 0 on [x0, inf).
+
+        0 for the power, log and constant kinds.  For log_power c, with
+        L = log(1+x): rho'' <= 0 iff L >= c-1, and rho''' >= 0 iff
+        2L^2 - 3(c-1)L + (c-1)(c-2) >= 0.  The larger root of that quadratic,
+        r+ = (3(c-1) + sqrt((c-1)(c+7)))/4, is >= c-1, so x0 = expm1(r+).
+        """
+        if self.kind != "log_power":
+            return 0.0
+        c1 = self.param - 1.0
+        try:
+            return math.expm1((3.0 * c1 + math.sqrt(c1 * (c1 + 8.0))) / 4.0)
+        except OverflowError:  # x0 past the double range, for c above about 709
+            return math.inf
 
     # -- exact floors --------------------------------------------------------
 
@@ -216,21 +229,11 @@ class RhoSpec:
                 raise ArithmeticError(f"floor(rho(sqrt({u}))) undecidable at 60 digits")
             return int(fl)
 
-    def check_shape(self, x_lo: float = 8.0, x_hi: float = 1e6, samples: int = 64) -> None:
-        """Sampled monotonicity audit: rho up, rho' down, rho'' up toward 0."""
-        xs = np.geomspace(x_lo, x_hi, samples)
-        v, d1, d2 = self.value(xs), self.deriv(xs), self.deriv2(xs)
-        if np.any(np.diff(v) < 0):
-            raise ConfigError(f"rho {self.descriptor()} is not nondecreasing")
-        if self.kind != "constant":
-            if np.any(np.diff(d1) > 1e-15):
-                raise ConfigError(f"rho' of {self.descriptor()} is not nonincreasing")
-            if np.any(np.diff(d2) < -1e-15) or np.any(d2 > 1e-12):
-                raise ConfigError(f"rho'' of {self.descriptor()} does not increase to 0")
-
     def descriptor(self) -> str:
+        """Text that ``parse_rho`` reads back as this RhoSpec."""
         if self.kind == "power":
-            return f"power:{float(self.param)}"
+            a = self.param
+            return f"power:{float(a) if Fraction(repr(float(a))) == a else a}"
         if self.kind == "log_scaled":
             return f"log:{self.param}"
         if self.kind == "log_power":

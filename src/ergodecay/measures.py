@@ -203,9 +203,9 @@ def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
 
     Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
     increasing sites (the families' case) skip its checks: 1/N is nonzero and
-    the total variation N*(1/N) is the double ``_total_variation`` returns for
-    equal magnitudes.  Other sites go through ``_from_arrays``, which sorts
-    them and merges collisions.
+    the total variation N*(1/N) rounds the exact sum of the N weights once, so
+    it is the double ``fsum`` returns.  Other sites go through
+    ``_from_arrays``, which sorts them and merges collisions.
     """
     N = len(sites)
     weights = np.full(N, 1.0 / N, dtype=np.complex128)
@@ -215,21 +215,10 @@ def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
 
 
 def _total_variation(weights: np.ndarray) -> float:
-    """``math.fsum(np.abs(weights))``, bit for bit, with a fast equal-magnitude path.
-
-    When every |w| equals x, the exact sum is n*x (n < 2^53 is exact as a
-    double); a single float multiply rounds that exact value once, as fsum
-    does, so the two agree to the last bit.  A product that overflows falls
-    back to fsum.  A magnitude or a sum beyond the double range raises
-    ValueError.
-    """
-    mags = np.abs(weights)
-    if len(mags):
-        tv = len(mags) * float(mags[0])
-        if math.isfinite(tv) and bool(np.all(mags == mags[0])):
-            return tv
+    """``math.fsum(np.abs(weights))``; ValueError for a magnitude or a sum
+    beyond the double range."""
     try:
-        tv = math.fsum(mags)
+        tv = math.fsum(np.abs(weights))
     except OverflowError:
         tv = math.inf
     if not math.isfinite(tv):
@@ -390,8 +379,8 @@ def bracket_sup(
     needs a grid beyond ``grid_cap`` (the cap is never silently relaxed: the
     upper end must stay a true bound).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     eff_tol = max(tol - 2 * _FP_SLACK, tol * 0.5)
     lower, upper, G, refused = _refine(
         evaluate, degree, lip, grid_cap,

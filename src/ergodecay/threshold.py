@@ -332,7 +332,7 @@ class ResidueProfile:
     lambda_q: tuple
     densities: dict  # quadratic residue a -> empirical density
     min_nonzero_density: float
-    fitted_C: float
+    fitted_C: float  # not a fit: C = max of x rho'(x) over x <= max(4, N*)
     bound: float | None  # 1/(3 C |Lambda_Q|); None when rho' vanishes
     bound_met: bool | None
     stabilized: bool
@@ -350,7 +350,9 @@ def residue_density(
     N_list (the computable surrogate for the diagonal-argument limit; it is
     reported as such, never asserted as the limit).  The 'stabilized' flag
     records whether adjacent N in the list ever share that residue, which at
-    desk scale separates slowly growing rho from the power kinds.
+    desk scale separates slowly growing rho from the power kinds.  The bound
+    1/(3 C |Lambda_Q|) takes C = x rho'(x) at x = max(4, N*): that product is
+    nondecreasing for every kind, so C is its max over x <= N*.
     """
     _odd_squarefree_primes(Q)  # validates Q
     if not 0 < window < math.inf:
@@ -377,8 +379,8 @@ def residue_density(
     nonzero = [densities[a] for a in qrs if a != 0]
     min_nonzero = float(min(nonzero))
 
-    xs = np.geomspace(2.0, max(4.0, float(N_star)), 128)
-    fitted_C = float(np.max(xs * rho.deriv(xs)))
+    x = np.array([max(4.0, float(N_star))])
+    fitted_C = float((x * rho.deriv(x))[0])
     if fitted_C > 0:
         bound = 1.0 / (3.0 * fitted_C * len(qrs))
         bound_met = min_nonzero >= bound

@@ -106,12 +106,19 @@ def test_bad_family_exit_2(tmp_path):
         ["fourier", "--family", "squares", "--n", "4", "--grid", "1"],
         ["fourier", "--family", "squares", "--n", "0"],
         ["triviality", "--family", "squares", "--n", "4", "--tol", "0"],
+        ["triviality", "--family", "squares", "--n", "4", "--tol", "nan"],
         ["triviality", "--family", "squares", "--n", "4", "--grid-cap", "1"],
         ["select", "--family", "squares", "--k", "0", "--cap", "10"],
+        ["select", "--family", "squares", "--k", "2", "--cap", "3", "--sup-tol", "nan"],
+        ["select", "--family", "perturbed:power:0.142857", "--k", "1", "--cap", "4"],
         ["maximal", "--family", "squares", "--indices", "0"],
         ["maximal", "--family", "squares", "--indices", ""],
         ["dynsys-trace", "--system", "cyclic:15", "--f", "trig:1", "--family", "squares",
          "--indices", ""],
+        ["dynsys-trace", "--system", "rotation:1/0", "--f", "trig:1", "--family", "squares",
+         "--indices", "4"],
+        ["dynsys-trace", "--system", "cyclic:15", "--f", "trig:1", "--family", "squares",
+         "--indices", "4", "--x-samples", "0"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", ""],
@@ -170,6 +177,18 @@ def test_residues_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "Q,a,count,density,bound"
     assert len(lines) == 7  # six quadratic residues mod 15
+
+
+def test_summary_lines_report_shape_threshold(tmp_path, capsys):
+    # the paper's shape assumptions hold for x >= x0; logpow:4 from x0 = e^r+ - 1
+    rc, _ = run(tmp_path, "th.csv", "threshold-audit", "--rho", "logpow:4",
+                "--n-list", "256", "--grid", "4096")
+    assert rc == 0
+    assert ", shape from x0=38.8906 -> " in capsys.readouterr().out
+    rc, _ = run(tmp_path, "r.csv", "residues", "--rho", "log:1", "--q", "15",
+                "--n-list", "1000")
+    assert rc == 0
+    assert capsys.readouterr().out.rstrip().endswith(" shape from x0=0")
 
 
 def test_residues_power_class_at_exact_power(tmp_path, capsys):

@@ -40,9 +40,61 @@ def test_power_exponent_range_enforced():
         rho_power(Fraction(0))
 
 
-def test_rho_shapes_pass_sampled_monotonicity():
-    for rho in (rho_power(Fraction(1, 4)), rho_log(1.0), rho_log_power(1.5), rho_constant(2)):
-        rho.check_shape()
+SHAPE_RHOS = (
+    rho_power(Fraction(1, 4)),
+    rho_power(Fraction(1, 7)),
+    rho_power(Fraction(333, 1000)),
+    rho_log(1.0),
+    rho_log(0.5),
+    rho_constant(2),
+    *(rho_log_power(c) for c in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0)),
+)
+
+
+@pytest.mark.parametrize("rho", SHAPE_RHOS, ids=lambda r: r.descriptor())
+def test_rho_shape_holds_exactly_from_shape_from(rho):
+    # the paper's assumptions: rho' >= 0, rho'' <= 0 and rho''' >= 0 for x >= x0
+    sp = pytest.importorskip("sympy")
+    x, param = sp.Symbol("x", positive=True), sp.nsimplify(rho.param)
+    expr = {
+        "power": x**param,
+        "log_scaled": param * sp.log(1 + x),
+        "log_power": sp.log(1 + x) ** param,
+        "constant": param + 0 * x,
+    }[rho.kind]
+    d1, d2, d3 = (sp.diff(expr, x, k) for k in (1, 2, 3))
+    x0 = rho.shape_from
+    assert x0 >= 0
+    if rho.kind == "constant":
+        assert x0 == 0 and d1 == d2 == d3 == 0
+        return
+    if rho.kind == "log_power":
+        # rho''' = c L^(c-3) (2L^2 - 3(c-1)L + (c-1)(c-2)) / (1+x)^3, L = log(1+x)
+        c, L = param, sp.log(1 + x)
+        quad = 2 * L**2 - 3 * (c - 1) * L + (c - 1) * (c - 2)
+        assert sp.simplify(d3 - c * L ** (c - 3) * quad / (1 + x) ** 3) == 0
+        assert sp.simplify(d2 - c * L ** (c - 2) * ((c - 1) - L) / (1 + x) ** 2) == 0
+        # x0 is expm1 of the larger root of that quadratic
+        y = sp.Symbol("y")
+        r_plus = max(float(r) for r in sp.solve(quad.subs(L, y), y))
+        assert math.log1p(x0) == pytest.approx(r_plus, rel=1e-14, abs=1e-15)
+    else:
+        assert x0 == 0
+    funcs = [sp.lambdify(x, d, "mpmath") for d in (d1, d2, d3)]
+    with mpmath.workdps(50):
+        start = mpmath.mpf(x0)
+        for step in (1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12):
+            pt = start + step * (1 + start)
+            v1, v2, v3 = (f(pt) for f in funcs)
+            assert v1 > 0 and v2 < 0 and v3 > 0, (rho, float(pt))
+        if rho.kind == "log_power" and rho.param > 1:
+            # x0 is the least such x: rho''' < 0 just below it
+            assert funcs[2](start * (1 - mpmath.mpf(1e-6))) < 0
+
+
+def test_shape_from_past_the_double_range_is_inf():
+    assert rho_log_power(700.0).shape_from < math.inf
+    assert rho_log_power(800.0).shape_from == math.inf
 
 
 def test_rho_inverse_roundtrip():
@@ -313,10 +365,33 @@ def test_perturbed_family_prefix_cache_matches_direct_build(rho):
 
 def test_parse_family_roundtrip():
     for text in ("squares", "rotated:quadratic", "rotated:linear", "perturbed:power:1/4",
+                 "perturbed:power:1/7", "perturbed:power:2/7", "perturbed:power:1/300",
                  "perturbed:log:1.0", "perturbed:logpow:1.5", "perturbed:const:3.0"):
         fam = parse_family(text)
         mu = fam.measure(4)
         assert mu.n_atoms >= 1
+        if text.startswith("perturbed:"):
+            rho_text = fam.descriptor.removeprefix("perturbed:")
+            assert parse_rho(rho_text) == parse_rho(text.removeprefix("perturbed:")), text
+
+
+def test_power_descriptor_prints_float_only_when_it_round_trips():
+    for a, text in ((Fraction(1, 4), "power:0.25"), (Fraction(3, 10), "power:0.3"),
+                    (Fraction(1, 1000), "power:0.001"), (Fraction(1, 5), "power:0.2"),
+                    (Fraction(1, 7), "power:1/7"), (Fraction(2, 7), "power:2/7"),
+                    (Fraction(1, 300), "power:1/300")):
+        assert rho_power(a).descriptor() == text
+        assert parse_rho(text) == rho_power(a)
+
+
+def test_power_denominator_above_1000_rejected():
+    # exact floors compare r^q with k^p, so q = 10^6 (power:0.142857) never finishes
+    assert parse_rho("power:333/1000").param == Fraction(333, 1000)
+    for text in ("power:0.142857", "power:1/1001", "power:0.14285714285714285"):
+        with pytest.raises(ConfigError):
+            parse_rho(text)
+        with pytest.raises(ConfigError):
+            parse_family(f"perturbed:{text}")
 
 
 def test_parse_family_errors():

@@ -13,6 +13,7 @@ from ergodecay import (
     cesaro_expos,
     fourier_at,
     lambda_q_size,
+    parse_rho,
     major_arc_audit,
     perturbed_squares_measure,
     phi_of,
@@ -308,6 +309,29 @@ def test_residue_density_log_meets_bound_shape():
     assert prof.N_star == 1_000_000
     assert prof.bound_met
     assert prof.min_nonzero_density >= prof.bound
+
+
+FITTED_C_RHOS = ("log:1", "log:0.5", "power:1/4", "power:1/7", "power:1/1000",
+                 "power:3/10", "logpow:1", "logpow:1.5", "logpow:2", "logpow:4",
+                 "logpow:7", "const:0", "const:2.5")
+
+
+def _sampled_fitted_C(rho, N_star):
+    # the former definition: the max of x rho'(x) over 128 geometric points
+    xs = np.geomspace(2.0, max(4.0, float(N_star)), 128)
+    return float(np.max(xs * rho.deriv(xs)))
+
+
+@pytest.mark.parametrize("text", FITTED_C_RHOS)
+def test_residue_fitted_C_is_the_sampled_max_bit_for_bit(text):
+    rho = parse_rho(text)
+    for N in (1, 2, 3, 5, 8, 37, 100, 1000, 4097, 10_000):
+        prof = residue_density(rho, 15, [N])
+        assert prof.fitted_C == _sampled_fitted_C(rho, prof.N_star), (text, N)
+    # past the N a test can enumerate, the sampled max is its last point
+    for N in np.unique(np.geomspace(1, 1e12, 60).round().astype(np.int64)):
+        x = np.array([max(4.0, float(N))])
+        assert _sampled_fitted_C(rho, N) == float((x * rho.deriv(x))[0]), (text, N)
 
 
 def test_residue_stabilization_flags():
