@@ -52,6 +52,9 @@ _BOUNDARY_BAND = 1e-9  # float floors this close to an integer get a recheck
 _ROTATED_VARIANTS = ("quadratic", "linear")
 _FIRST_BLOCK = 1024  # sites a perturbed family computes on its first call
 _MAX_POWER_DENOMINATOR = 1000  # exact floors of k^(p/q) compare r^q with k^p
+# Sites and floors are int64: log(1+x)^c < 2^63 for every int64 x needs
+# c < 63 log 2 / log(63 log 2), about 11.56 (the double overflows past 187)
+_MAX_LOG_POWER = 63 * math.log(2.0) / math.log(63 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -352,7 +355,13 @@ def parse_rho(text: str) -> RhoSpec:
         if kind == "log":
             return rho_log(float(parts[1]) if len(parts) > 1 else 1.0)
         if kind == "logpow":
-            return rho_log_power(float(parts[1]))
+            c = float(parts[1])
+            if not c < _MAX_LOG_POWER:
+                raise ConfigError(
+                    f"log power must be below {_MAX_LOG_POWER:.4f}, where log(1+x)^c "
+                    f"reaches 2^63 at x = 2^63, got {c}"
+                )
+            return rho_log_power(c)
         if kind == "const":
             return rho_constant(float(parts[1]) if len(parts) > 1 else 0.0)
     except (IndexError, ValueError, ZeroDivisionError) as exc:

@@ -19,6 +19,16 @@ One refinement policy (``_refine``) produces every certified bracket: the
 sup brackets of ``triviality_sup`` and ``czmax.sigma_deficit_sup`` (through
 ``bracket_sup``) and the threshold decisions of ``certify_sup_below``.  They
 differ only in when they stop.
+
+The refinement needs only the maximum of |T| over each grid, and
+(1 - e(gamma)) mu_hat(gamma) is the transform of the difference measure
+mu - delta_1 * mu, whose weight at j is mu(j) - mu(j-1).  Grids up to
+``_SUBGRID_MIN`` points are evaluated whole (fold, inverse FFT, the 1 - e
+table).  Larger grids are split into interleaved sub-grids m = t + P*s, each
+one FFT of ``_SUBGRID_MIN`` or more points of the modulated difference
+measure (``_subgrid_max``, the four-step FFT of Bailey, "FFTs in external or
+hierarchical memory", J. Supercomputing 4(1), 1990), so no G-point array is
+ever allocated.
 """
 
 from __future__ import annotations
@@ -39,6 +49,12 @@ DEFAULT_GRID_CAP = 1 << 25
 
 # First grid of every sup bracket and certification.
 _COARSE_GRID = 4096
+
+# Largest triviality grid evaluated whole, and the least sub-grid length above it.
+_SUBGRID_MIN = 1 << 16
+# Sub-grid points per batched FFT: 4 MB of complex128, the fastest of
+# 2^16..2^20 points when timed on a 2^22 grid (180 and 2 atoms)
+_SUBGRID_BATCH = 1 << 18
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _MAX_EXACT_SITE = 1 << 53  # sites beyond this do not convert to float64 exactly
@@ -272,9 +288,13 @@ def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
         raise ValueError("grid size must be >= 2")
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
-    folded = _fold_mod(mu, G)
+    return _transform_fold(_fold_mod(mu, G))
+
+
+def _transform_fold(folded: np.ndarray) -> np.ndarray:
+    """mu_hat on the grid m/G from mu's fold mod G = len(folded), in place."""
     vals = np.fft.ifft(folded, out=folded)  # in place: no second G-point array
-    vals *= G
+    vals *= len(folded)
     return vals
 
 
@@ -289,11 +309,104 @@ _ONE_MINUS_E_COARSE = _one_minus_e(_COARSE_GRID)
 _ONE_MINUS_E_COARSE.flags.writeable = False
 
 
-def _triviality_on_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
-    vals = fourier_grid(mu, G)
+def _triviality_on_grid(
+    mu: WeightedMeasure, G: int, folded: np.ndarray | None = None
+) -> np.ndarray:
+    """|(1 - e) mu_hat| at the G points m/G; ``folded``, when given, is mu's
+    fold mod G, which the transform overwrites."""
+    vals = fourier_grid(mu, G) if folded is None else _transform_fold(folded)
     factor = _ONE_MINUS_E_COARSE if G == _COARSE_GRID else _one_minus_e(G)
     np.multiply(factor, vals, out=vals)
     return np.abs(vals)
+
+
+def _difference_measure(mu: WeightedMeasure, G: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sites mod G and weights of mu - delta_1 * mu, whose transform is
+    (1 - e(gamma)) mu_hat(gamma), in linear time.
+
+    Atom i contributes w_i at s_i and -w_i at s_i + 1.  The sites are strictly
+    increasing, so s_i + 1 can only meet s_(i+1); there the weight is
+    w_(i+1) - w_i, one rounding.  Exact zeros are dropped.  G is a power of two.
+    """
+    s, w = mu.sites, mu.weights
+    # s_(i+1) - s_i wraps only for spans past 2^63, and then it is not 1
+    adjacent = s[1:] - s[:-1] == 1
+    head = w.copy()
+    np.subtract(w[1:], w[:-1], out=head[1:], where=adjacent)
+    tail = np.append(~adjacent, True)  # atoms whose s_i + 1 is no site
+    nonzero = head != 0
+    sites = np.concatenate([s[nonzero], s[tail] + 1]) & (G - 1)
+    return sites, np.concatenate([head[nonzero], -w[tail]])
+
+
+def _subgrid_max(mu: WeightedMeasure, G: int) -> float:
+    """max_m |(1 - e(m/G)) mu_hat(m/G)| over a power-of-two grid G, from
+    cache-sized sub-grids of the difference measure.
+
+    With d_k the weights of the difference measure Delta mu (sites k mod G),
+    T(m/G) = sum_k d_k e(k m/G).  Write m = t + P*s with L = G/P points per
+    sub-grid, L = min(G, max(_SUBGRID_MIN, next_pow2(4 |Delta mu|))).  Then
+    T((t + P*s)/G) = sum_k [d_k e(k t/G)] e(k s/L): sub-grid t is the L-point
+    inverse DFT of the atoms modulated by e(k t/G) and folded mod L.  The
+    phase (k mod G) * t mod G is an exact integer, divided exactly by G.
+    Sub-grids go through one 2-D FFT per batch of _SUBGRID_BATCH points, and
+    only the running maximum of |.| is kept: memory is O(L + atoms), work
+    P * |Delta mu| + G log L.
+
+    Roundoff, u = 2^-53, D = TV(Delta mu) <= 2 TV(mu), M the most atoms of
+    Delta mu on one residue mod L: at first order each computed value is
+    within (22 + sqrt(2) M + 7 log2 L) u D of T(m/G).
+      - Differences: one rounding per collision, u |d_k|.
+      - Modulation: the angle 2 pi (r/G) rounds twice (4 pi u), cos and sin
+        are within one ulp (2 sqrt(2) u), the complex product adds
+        sqrt(2) gamma_2: under 19 u |d_k|.
+      - Fold: sequential sums of at most M terms per residue, gamma_M on
+        |Re| + |Im|, so sqrt(2) gamma_M D through the unit-modulus DFT.
+      - L-point FFT: log2 L butterfly levels with eta = mu_w + gamma_4
+        (sqrt(2) + mu_w), twiddle error mu_w <= u (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., 2002, sec. 24.1), taken
+        componentwise: every input reaches every output along one path of
+        unit-modulus factors, so each output is within log2 L * 7u * D.
+      - |.|: one ulp, 2u D.
+    The full-grid path below _SUBGRID_MIN has the same form, with 2 TV(mu)
+    for D, log2 G for log2 L and the atoms of mu per residue mod G for M.
+    For TV(mu) <= 1 (every family measure is a probability measure), M <=
+    2^10 and L <= 2^25 the bound is 2 (22 + 1449 + 175) u < 3.7e-13, under
+    _FP_SLACK: the range where ``_refine``'s lower end rests on _FP_SLACK
+    today (ROADMAP item 3 derives the slack beyond it).
+    """
+    sites, d = _difference_measure(mu, G)
+    L = min(G, max(_SUBGRID_MIN, _next_pow2(4 * len(sites))))
+    P = G // L
+    rows = max(1, min(P, _SUBGRID_BATCH // L))
+    cols = sites & (L - 1)
+    batch = np.empty((rows, L), dtype=np.complex128)
+    flat = batch.reshape(-1)
+    mags = np.empty((rows, L))
+    best = 0.0
+    for t0 in range(0, P, rows):
+        t = np.arange(t0, t0 + rows, dtype=np.int64)[:, None]
+        phase = (sites * t) & (G - 1)  # exact: both factors are below G
+        vals = np.exp((2j * math.pi) * (phase / G))
+        vals *= d
+        flat.fill(0.0)
+        np.add.at(flat, (np.arange(rows)[:, None] * L + cols).ravel(), vals.ravel())
+        np.fft.ifft(batch, axis=1, norm="forward", out=batch)
+        best = max(best, float(np.abs(batch, out=mags).max()))
+    return best
+
+
+def _triviality_max(
+    mu: WeightedMeasure, G: int, coarse_fold: np.ndarray | None = None
+) -> float:
+    """max over the G-point grid of |(1 - e) mu_hat|: the whole grid up to
+    _SUBGRID_MIN points, sub-grids of the difference measure above.
+    ``coarse_fold``, when given, is mu's fold mod _COARSE_GRID; the coarse
+    grid consumes it (``_refine`` evaluates each grid size once)."""
+    if G > _SUBGRID_MIN:
+        return _subgrid_max(mu, G)
+    folded = coarse_fold if G == _COARSE_GRID else None
+    return float(np.max(_triviality_on_grid(mu, G, folded)))
 
 
 def _degree_and_lipschitz(mu: WeightedMeasure) -> tuple[int, float]:
@@ -335,9 +448,10 @@ def _required_grid(degree: int, lip: float, lower: float, slack: float) -> int:
 def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     """The one grid-refinement policy behind every certified sup bracket.
 
-    Evaluates |T| on equispaced grids from the coarse grid up, keeping the
-    largest grid max (less roundoff) as the lower end and the smallest rigorous
-    bound as the upper end.  After each grid, ``next_width(lower, upper)``
+    Evaluates max |T| on equispaced grids from the coarse grid up (``evaluate``
+    returns |T| on the grid, or its maximum), keeping the largest grid max
+    (less roundoff) as the lower end and the smallest rigorous bound as the
+    upper end.  After each grid, ``next_width(lower, upper)``
     returns None to stop, or the bracket width the next grid must reach; that
     grid is the estimate for the width, and at least double the last one.
     Returns (lower, upper, G, refused): G is the last grid evaluated, and
@@ -373,9 +487,9 @@ def bracket_sup(
 ) -> SupBracket:
     """Rigorously bracket the sup of |T| for a trig polynomial T on the circle.
 
-    ``evaluate(G)`` must return |T| at the G equispaced points m/G, ``degree``
-    a bound on the centered degree of T and ``lip`` on its derivative.  Grids
-    are refined until the enclosure width is <= tol; ResourceCapError if that
+    ``evaluate(G)`` must return |T| at the G equispaced points m/G (or their
+    maximum), ``degree`` a bound on the centered degree of T and ``lip`` on
+    its derivative.  Grids are refined until the enclosure width is <= tol; ResourceCapError if that
     needs a grid beyond ``grid_cap`` (the cap is never silently relaxed: the
     upper end must stay a true bound).
     """
@@ -402,7 +516,7 @@ def triviality_sup(
         return SupBracket(0.0, 0.0, 0)
     degree, lip = _degree_and_lipschitz(mu)
     return bracket_sup(
-        lambda G: _triviality_on_grid(mu, G),
+        lambda G: _triviality_max(mu, G),
         degree,
         lip,
         tol,
@@ -411,7 +525,7 @@ def triviality_sup(
     )
 
 
-def _quarter_witness(mu: WeightedMeasure) -> float:
+def _quarter_witness(mu: WeightedMeasure, fold: np.ndarray | None = None) -> float:
     """Certified lower bound on max_{a=1,2,3} |T(a/4)|, T = (1 - e) mu_hat.
 
     With W_r the weight on sites = r mod 4 (the fold mod 4),
@@ -423,13 +537,20 @@ def _quarter_witness(mu: WeightedMeasure) -> float:
     the witness at or below the coarse-grid lower bound, whose grid holds the
     points a/4, whenever that grid's FFT roundoff stays below _FP_SLACK (the
     premise of the grid lower bound itself).
+
+    ``fold`` may instead be mu's fold mod a multiple of 4 (the coarse grid's):
+    W_r is then the sum of its len(fold)/4 bins = r mod 4, each weight passes
+    through at most len(fold)/4 - 1 more additions, and the slack takes
+    gamma_(n+7+len(fold)/4) in place of gamma_(n+8).
     """
-    w0, w1, w2, w3 = _fold_mod(mu, 4).tolist()
+    if fold is None:
+        fold = _fold_mod(mu, 4)
+    w0, w1, w2, w3 = fold.reshape(-1, 4).sum(axis=0).tolist()
     even, odd = w0 - w2, w1 - w3  # sum_r W_r i^(ar) = even + i^a odd for odd a
     t1 = (1 - 1j) * (even + 1j * odd)
     t2 = 2 * ((w0 + w2) - (w1 + w3))
     t3 = (1 + 1j) * (even - 1j * odd)
-    m = mu.n_atoms + 8
+    m = mu.n_atoms + 7 + len(fold) // 4
     gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
     slack = 4.0 * gamma * mu.total_variation + 2 * _FP_SLACK
     return max(abs(t1), abs(t2), abs(t3)) - slack
@@ -455,12 +576,17 @@ def certify_sup_below(
     evaluating any grid.  The witness is no larger than the coarse-grid lower
     bound (see ``_quarter_witness``), so a caller that keeps the minimum of
     ``lower`` and passes that minimum as ``skip_above`` sees the same minimum
-    and the same verdicts.
+    and the same verdicts.  Measures of _SUBGRID_MIN atoms or more take the
+    witness from their fold mod _COARSE_GRID, which the coarse grid then
+    reuses: one pass over the atoms instead of two.
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
+    coarse_fold = None
     if skip_above < math.inf:
-        witness = _quarter_witness(mu)
+        if mu.n_atoms >= _SUBGRID_MIN:
+            coarse_fold = _fold_mod(mu, _COARSE_GRID)
+        witness = _quarter_witness(mu, coarse_fold)
         if witness > threshold and witness > skip_above:
             return False, witness, math.inf, 0
 
@@ -473,7 +599,7 @@ def certify_sup_below(
 
     degree, lip = _degree_and_lipschitz(mu)
     lower, upper, G, _ = _refine(
-        lambda G: _triviality_on_grid(mu, G), degree, lip, grid_cap, next_width
+        lambda G: _triviality_max(mu, G, coarse_fold), degree, lip, grid_cap, next_width
     )
     verdict = False if lower > threshold else True if upper <= threshold else None
     return verdict, lower, upper, G

@@ -14,14 +14,17 @@ from ergodecay.measures import _csum, _from_arrays, _uniform_on
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
 
-# One command per subcommand, plus a fourier grid of complex weights and a
+# One command per subcommand, plus a fourier grid of complex weights, a
 # weyl-audit whose Weyl sums take the residue-grouped path (grid 64 <= N, N
-# not always a multiple of 64); each data file must be byte-identical across
-# runs and across refactors.  ``--out`` is appended by the runner.
+# not always a multiple of 64) and a triviality bracket refined to a grid of
+# 2^21, past the whole-grid path (the sub-grid evaluator of measures.py); each
+# data file must be byte-identical across runs and across refactors.  ``--out``
+# is appended by the runner.
 CLI_COMMANDS = {
     "fourier": ["fourier", "--family", "perturbed:power:0.25", "--n", "64", "--grid", "256"],
     "fourier-complex": ["fourier", "--family", "rotated:linear", "--n", "64", "--grid", "256"],
     "triviality": ["triviality", "--family", "squares", "--n", "64", "--tol", "1e-2"],
+    "triviality-subgrid": ["triviality", "--family", "squares", "--n", "180", "--tol", "1e-3"],
     "select": ["select", "--family", "squares", "--k", "1", "--cap", "16"],
     "cz-check": ["cz-check", "--count", "25", "--lambdas", "6", "--seed", "7"],
     "maximal": ["maximal", "--family", "squares", "--indices", "2,4,8", "--seed", "1"],

@@ -127,6 +127,7 @@ def test_bad_family_exit_2(tmp_path):
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1024",
          "--row-betas", "-3"],
         ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
+        ["residues", "--rho", "logpow:400", "--q", "15", "--n-list", "1000"],
     ],
     ids=lambda args: " ".join(args),
 )

@@ -394,6 +394,18 @@ def test_power_denominator_above_1000_rejected():
             parse_family(f"perturbed:{text}")
 
 
+def test_log_power_above_int64_range_rejected():
+    # floors and sites are int64: log(1+x)^c must stay below 2^63 for int64 x
+    rho = parse_rho("logpow:11.56")
+    assert float(rho.value(2.0**63)) < 2.0**63
+    assert rho.floor_at_int(np.array([10**6, 2**62])).dtype == np.int64
+    for text in ("logpow:11.57", "logpow:100", "logpow:400", "logpow:inf"):
+        with pytest.raises(ConfigError):
+            parse_rho(text)
+        with pytest.raises(ConfigError):
+            parse_family(f"perturbed:{text}")
+
+
 def test_parse_family_errors():
     for bad in ("sqares", "perturbed", "perturbed:power:0.5", "rotated:cubic", "squares:1",
                 "rotated:quadratic_phase", "rotated:linear_phase"):

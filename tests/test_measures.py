@@ -1,10 +1,11 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergodecay import (
@@ -32,7 +33,9 @@ from ergodecay.measures import (
     _FP_SLACK,
     _fold_mod,
     _from_arrays,
+    _difference_measure,
     _quarter_witness,
+    _subgrid_max,
     _triviality_on_grid,
     _uniform_on,
 )
@@ -106,7 +109,8 @@ def _fsum_tv(mu):
 
 @pytest.mark.parametrize("n", [1, 3, 7, 49, 1000, 12345, 50021])
 def test_total_variation_is_fsum_for_uniform_families(n):
-    # equal-magnitude weights take the n*|w_0| shortcut; it must equal fsum bit for bit
+    # the uniform families' total variation is N*(1/N) (``_uniform_on``); it
+    # must equal the fsum of |w| bit for bit (the rotated family takes that fsum)
     for mu in (
         squares_measure(n),
         perturbed_squares_measure(rho_power(Fraction(1, 4)), n),
@@ -122,7 +126,7 @@ def test_total_variation_is_fsum_for_sigma_n():
 
 
 def test_total_variation_is_fsum_for_mixed_magnitudes():
-    # unequal magnitudes take the fsum fallback
+    # unequal magnitudes and merged duplicates: the one fsum of _total_variation
     mu = make_measure([(0, 0.1), (1, 0.1), (2, 0.1), (5, 1e-17), (9, -0.25j)])
     assert mu.total_variation == _fsum_tv(mu) == math.fsum([0.1, 0.1, 0.1, 1e-17, 0.25])
     merged = make_measure([(4, 1 / 3), (4, 1 / 3), (6, 1 / 3)])
@@ -229,7 +233,7 @@ FOLD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("G", [2, 1000, 3 * 1024, 4095, 4096, 8192])
+@pytest.mark.parametrize("G", [2, 1000, 3 * 1024, 4095, 4096, 8192, 1 << 16])
 def test_fold_and_grids_bit_identical_to_reference(G):
     for mu in FOLD_CASES:
         fold = _fold_mod(mu, G)
@@ -238,6 +242,95 @@ def test_fold_and_grids_bit_identical_to_reference(G):
         assert fourier_grid(mu, G).tobytes() == grid.tobytes(), G
         factor = 1.0 - np.exp((2j * math.pi) * (np.arange(G) / G))
         assert _triviality_on_grid(mu, G).tobytes() == np.abs(factor * grid).tobytes(), G
+
+
+# -- sub-grids of the difference measure (grids above _SUBGRID_MIN) ------------
+
+
+def _grid_roundoff(mu, G):
+    """First-order roundoff bound of ``_subgrid_max`` (its docstring) plus the
+    same form for the whole-grid reference, with every atom on one residue
+    (M = 2n atoms of Delta mu, n of mu) and D = 2 TV(mu)."""
+    u, log2G, n = 2.0**-53, G.bit_length() - 1, mu.n_atoms
+    sub = 22 + math.sqrt(2) * 2 * n + 7 * log2G
+    full = 22 + math.sqrt(2) * n + 7 * log2G
+    return (sub + full) * u * 2 * mu.total_variation
+
+
+def _full_grid_max(mu, G):
+    factor = 1 - np.exp(2j * np.pi * np.arange(G) / G)
+    return float(np.max(np.abs(factor * fourier_grid(mu, G))))
+
+
+@st.composite
+def _subgrid_cases(draw):
+    """Runs of adjacent sites anywhere in [-3G, 3G] (negative, and past G),
+    each run with one repeated weight (it cancels in Delta mu) or fresh
+    weights (their difference rounds); complex weights, total variation
+    from 1e-3 to 1e3."""
+    G = draw(st.sampled_from([1 << 17, 1 << 18, 1 << 20]))
+    part = st.integers(-64, 64).map(lambda k: k / 64)
+    atoms = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(-3 * G, 3 * G))
+        w, repeat = complex(draw(part), draw(part)), draw(st.booleans())
+        for i in range(draw(st.integers(1, 4))):
+            atoms.append((start + i, w))
+            if not repeat:
+                w = complex(draw(part), draw(part))
+    mu = make_measure(atoms)
+    assume(mu.n_atoms > 0)
+    scale = draw(st.floats(1e-3, 1e3)) / mu.total_variation
+    return G, make_measure((s, w * scale) for s, w in atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_subgrid_cases())
+@example((1 << 17, make_measure([(0, 1.0), (1, 1.0), (2, 1.0)])))  # Delta mu: two atoms
+@example((1 << 18, make_measure([(-1, 2j), ((1 << 18) - 1, 0.5), (1 << 18, -3.0)])))
+def test_subgrid_max_matches_full_grid(case):
+    G, mu = case
+    assert abs(_subgrid_max(mu, G) - _full_grid_max(mu, G)) <= _grid_roundoff(mu, G)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        squares_measure(180),
+        rotated_squares_measure(90),
+        make_measure([(-7, 0.5 - 2j), (-6, 0.5 - 2j), (-5, 1j), (3, 0.25), (70001, -1.0)]),
+    ],
+    ids=["squares", "rotated", "complex"],
+)
+def test_subgrid_max_is_the_exact_value_at_the_grid_argmax(mu):
+    G = 1 << 18
+    factor = 1 - np.exp(2j * np.pi * np.arange(G) / G)
+    m = int(np.argmax(np.abs(factor * fourier_grid(mu, G))))
+    exact = abs((1 - cmath.exp(2j * cmath.pi * m / G)) * fourier_at(mu, Fraction(m, G)))
+    # the reference argmax may be a near tie off by its own roundoff: twice the bound
+    assert abs(_subgrid_max(mu, G) - exact) <= 2 * _grid_roundoff(mu, G)
+
+
+def test_difference_measure_is_convolution_with_delta0_minus_delta1():
+    mu = make_measure([(-9, 0.5), (-8, 0.5), (-7, 0.25 + 1j), (-5, 3.0), (11, 2.0), (12, -2j)])
+    ref = convolve(mu, make_measure([(0, 1.0), (1, -1.0)]))
+    sites, weights = _difference_measure(mu, 1 << 62)
+    ref_sites = np.mod(ref.sites, 1 << 62)
+    order, ref_order = np.argsort(sites), np.argsort(ref_sites)
+    assert np.array_equal(sites[order], ref_sites[ref_order])
+    assert np.array_equal(weights[order], ref.weights[ref_order])  # -0.0 == 0.0
+
+
+def test_subgrid_refinement_allocates_no_full_grid():
+    tracemalloc.start()
+    try:
+        br = triviality_sup(squares_measure(180), 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert br.grid_size == 1 << 22
+    # one complex128 array of the grid would be 64 MB
+    assert peak < (16 << 22) // 4, peak
 
 
 # -- triviality_sup -----------------------------------------------------------
@@ -327,15 +420,15 @@ def test_certify_sup_below_verdicts(threshold, grid_cap, verdict):
 def grids_evaluated(monkeypatch):
     """The grid sizes that sup brackets and certifications evaluate, in order."""
     grids = []
-    evaluate = measures._triviality_on_grid
+    evaluate = measures._triviality_max
 
-    def recording(mu, G):
+    def recording(mu, G, *rest):
         grids.append(G)
         if len(grids) > 32:
             raise AssertionError(f"refinement does not terminate: {grids}")
-        return evaluate(mu, G)
+        return evaluate(mu, G, *rest)
 
-    monkeypatch.setattr(measures, "_triviality_on_grid", recording)
+    monkeypatch.setattr(measures, "_triviality_max", recording)
     return grids
 
 
@@ -440,6 +533,24 @@ def _cancelling_measures(draw):
 def test_quarter_witness_is_below_exact_quarter_values(mu):
     witness = _quarter_witness(mu)
     assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cancelling_measures())
+@example(make_measure([(0, 5e8), (4, 0.003), (8, -5e8)]))
+def test_quarter_witness_from_coarse_fold_is_below_exact_quarter_values(mu):
+    witness = _quarter_witness(mu, _fold_mod(mu, measures._COARSE_GRID))
+    assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
+
+
+def test_certify_sup_below_reuses_the_witness_fold_bit_for_bit(grids_evaluated):
+    # 2^17 atoms: the witness comes from the coarse fold, and the coarse grid
+    # reuses it; the quarter values are 0, so the witness never rejects
+    mu = _uniform_on(np.arange(1, (1 << 17) + 1))
+    plain = certify_sup_below(mu, 2.0**-15)
+    assert plain[0] is True and plain[3] == 1 << 19
+    assert certify_sup_below(mu, 2.0**-15, skip_above=1.0) == plain
+    assert grids_evaluated == [4096, 1 << 19] * 2
 
 
 @pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "rotated:quadratic"])
