@@ -23,11 +23,11 @@ from .measures import (
     WeightedMeasure,
     _csum,
     _from_arrays,
+    _subgrid_max,
     _total_variation,
     _uniform_on,
     bracket_sup,
     convolve,
-    fourier_grid,
     triviality_sup,
 )
 
@@ -226,54 +226,45 @@ def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
     return _uniform_on(np.arange(1, M + 1, dtype=np.int64))
 
 
-_SIGMA_BLOCK = 1 << 20
-
-
-def sigma_hat_grid(S_prev: int, n: int, G: int) -> np.ndarray:
-    """sigma_n_hat at gamma = m/G in closed form (no materialized support):
-    sigma_hat(gamma) = e((M+1)gamma/2) sin(pi M gamma) / (M sin(pi gamma)).
-
-    Every step is elementwise, so it runs on blocks of 2^20 points written
-    into one output: at G = 2^25 only the 512 MB output is grid-sized."""
+def sigma_hat_grid(S_prev: int, n: int, m: np.ndarray, G: int) -> np.ndarray:
+    """sigma_n_hat at gamma = m/G, m an int64 array in [0, G), in closed form:
+    sigma_hat(gamma) = e((M+1)gamma/2) sin(pi M gamma) / (M sin(pi gamma)),
+    1 at m = 0.  Each angle is pi times an exact integer residue over G, the
+    sines' residues reduced to [-G/2, G/2] (sin(pi x) = sin(pi (1 - x))):
+    unreduced, sin(pi gamma) near gamma = 1 loses up to G ulps.  Within 30u."""
     M = 1 << (S_prev + n)
-    vals = np.empty(G, dtype=np.complex128)
-    for start in range(0, G, _SIGMA_BLOCK):
-        m = np.arange(start, min(start + _SIGMA_BLOCK, G), dtype=np.int64)
-        num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
-        den = M * np.sin(np.pi * m / G)
-        den[den == 0.0] = 1.0
-        m *= M + 1
-        m %= 2 * G
-        block = 2j * np.pi * m
-        block /= 2 * G
-        np.exp(block, out=block)
-        block *= num
-        with np.errstate(invalid="ignore", divide="ignore"):
-            block /= den
-        vals[start : start + len(m)] = block
-    vals[0] = 1.0
+    r = ((M % (2 * G)) * m + G // 2) % (2 * G) - G // 2
+    num = np.sin(np.pi * np.where(r > G // 2, G - r, r) / G)
+    den = M * np.sin(np.pi * np.minimum(m, G - m) / G)
+    ratio = np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
+    angle = np.pi * (((M + 1) % (2 * G) * m) % (2 * G)) / G
+    vals = np.empty(m.shape, dtype=np.complex128)
+    np.multiply(np.cos(angle), ratio, out=vals.real)
+    np.multiply(np.sin(angle, out=angle), ratio, out=vals.imag)
     return vals
 
 
 def sigma_deficit_sup(mu: WeightedMeasure, S_prev: int, n: int, tol: float) -> dict:
     """Bracket sup_gamma |mu_hat(gamma) (1 - sigma_n_hat(gamma))| and report the
-    comparison chain 2^(S_prev+n) * triviality upper -> 2^(-S_prev-n)."""
-    if mu.n_atoms == 0:
-        return {"bracket": SupBracket(0.0, 0.0, 0)}
-    M = 1 << (S_prev + n)
-    fmin = int(mu.sites[0])
-    fmax = int(mu.sites[-1]) + M
-    degree = max(1, (fmax - fmin + 1) // 2)
-    lip = 2.0 * math.pi * max(abs(fmin), abs(fmax)) * 2.0 * mu.total_variation
+    comparison chain 2^(S_prev+n) * triviality upper -> 2^(-S_prev-n).  Each
+    grid maximum is ``measures._subgrid_max`` of mu times 1 - sigma_n_hat."""
+    if S_prev < 0 or n < 1:
+        raise ValueError("need S_prev >= 0 and n >= 1")
 
-    def evaluate(G):
-        vals = fourier_grid(mu, G)
-        deficit = sigma_hat_grid(S_prev, n, G)
-        np.subtract(1.0, deficit, out=deficit)
-        vals *= deficit
-        return np.abs(vals)
+    def deficit(m, G):
+        vals = sigma_hat_grid(S_prev, n, m, G)
+        return np.subtract(1.0, vals, out=vals)
 
-    bracket = bracket_sup(evaluate, degree, lip, tol, label="sigma_deficit_sup")
+    bracket = SupBracket(0.0, 0.0, 0)
+    if mu.n_atoms:
+        fmin = int(mu.sites[0])
+        fmax = int(mu.sites[-1]) + (1 << (S_prev + n))
+        degree = max(1, (fmax - fmin + 1) // 2)
+        lip = 2.0 * math.pi * max(abs(fmin), abs(fmax)) * 2.0 * mu.total_variation
+        bracket = bracket_sup(
+            lambda G: _subgrid_max(mu.sites, mu.weights, G, deficit),
+            degree, lip, tol, label="sigma_deficit_sup",
+        )
     triv = triviality_sup(mu, tol)
     return {
         "bracket": bracket,

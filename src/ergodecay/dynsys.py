@@ -77,7 +77,10 @@ class ObservedFunction:
 
 
 def indicator_function(a: float, b: float) -> ObservedFunction:
-    return ObservedFunction("indicator", a=float(a) % 1.0, b=float(b) % 1.0)
+    a, b = float(a) % 1.0, float(b) % 1.0
+    if a == b:
+        raise ConfigError(f"indicator arc ends agree mod 1 ({a}): empty or whole circle")
+    return ObservedFunction("indicator", a=a, b=b)
 
 
 def trig_function(m: int) -> ObservedFunction:

@@ -20,15 +20,15 @@ sup brackets of ``triviality_sup`` and ``czmax.sigma_deficit_sup`` (through
 ``bracket_sup``) and the threshold decisions of ``certify_sup_below``.  They
 differ only in when they stop.
 
-The refinement needs only the maximum of |T| over each grid, and
-(1 - e(gamma)) mu_hat(gamma) is the transform of the difference measure
-mu - delta_1 * mu, whose weight at j is mu(j) - mu(j-1).  Grids up to
-``_SUBGRID_MIN`` points are evaluated whole (fold, inverse FFT, the 1 - e
-table).  Larger grids are split into interleaved sub-grids m = t + P*s, each
-one FFT of ``_SUBGRID_MIN`` or more points of the modulated difference
-measure (``_subgrid_max``, the four-step FFT of Bailey, "FFTs in external or
-hierarchical memory", J. Supercomputing 4(1), 1990), so no G-point array is
-ever allocated.
+The refinement needs only the maximum of |T| over each grid, and one
+evaluator, ``_subgrid_max``, takes it for both brackets without a G-point
+array: interleaved sub-grids m = t + P*s, each one FFT of the modulated
+atoms, times an optional factor (the four-step FFT of Bailey, "FFTs in
+external or hierarchical memory", J. Supercomputing 4(1), 1990).  The
+sigma-deficit bracket passes mu and the factor 1 - sigma_hat.  The
+triviality bracket passes the difference measure mu - delta_1 * mu, whose
+transform is (1 - e(gamma)) mu_hat(gamma), above ``_SUBGRID_MIN`` points and
+evaluates smaller grids whole (fold, inverse FFT, the 1 - e table).
 """
 
 from __future__ import annotations
@@ -320,13 +320,13 @@ def _triviality_on_grid(
     return np.abs(vals)
 
 
-def _difference_measure(mu: WeightedMeasure, G: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sites mod G and weights of mu - delta_1 * mu, whose transform is
+def _difference_measure(mu: WeightedMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Sites and weights of mu - delta_1 * mu, whose transform is
     (1 - e(gamma)) mu_hat(gamma), in linear time.
 
     Atom i contributes w_i at s_i and -w_i at s_i + 1.  The sites are strictly
     increasing, so s_i + 1 can only meet s_(i+1); there the weight is
-    w_(i+1) - w_i, one rounding.  Exact zeros are dropped.  G is a power of two.
+    w_(i+1) - w_i, one rounding.  Exact zeros are dropped.
     """
     s, w = mu.sites, mu.weights
     # s_(i+1) - s_i wraps only for spans past 2^63, and then it is not 1
@@ -335,28 +335,26 @@ def _difference_measure(mu: WeightedMeasure, G: int) -> tuple[np.ndarray, np.nda
     np.subtract(w[1:], w[:-1], out=head[1:], where=adjacent)
     tail = np.append(~adjacent, True)  # atoms whose s_i + 1 is no site
     nonzero = head != 0
-    sites = np.concatenate([s[nonzero], s[tail] + 1]) & (G - 1)
+    sites = np.concatenate([s[nonzero], s[tail] + 1])
     return sites, np.concatenate([head[nonzero], -w[tail]])
 
 
-def _subgrid_max(mu: WeightedMeasure, G: int) -> float:
-    """max_m |(1 - e(m/G)) mu_hat(m/G)| over a power-of-two grid G, from
-    cache-sized sub-grids of the difference measure.
+def _subgrid_max(sites: np.ndarray, weights: np.ndarray, G: int, factor=None) -> float:
+    """max_m |F(m/G) f(m)| over a power-of-two grid G, F(gamma) =
+    sum_k d_k e(k gamma) the transform of the atoms (d_k at sites k) and f =
+    ``factor(m, G)`` at int64 indices m (1 when None), from cache-sized sub-grids.
 
-    With d_k the weights of the difference measure Delta mu (sites k mod G),
-    T(m/G) = sum_k d_k e(k m/G).  Write m = t + P*s with L = G/P points per
-    sub-grid, L = min(G, max(_SUBGRID_MIN, next_pow2(4 |Delta mu|))).  Then
-    T((t + P*s)/G) = sum_k [d_k e(k t/G)] e(k s/L): sub-grid t is the L-point
+    Write m = t + P*s with L = G/P points per sub-grid,
+    L = min(G, max(_SUBGRID_MIN, next_pow2(4 * atoms))).  Then
+    F((t + P*s)/G) = sum_k [d_k e(k t/G)] e(k s/L): sub-grid t is the L-point
     inverse DFT of the atoms modulated by e(k t/G) and folded mod L.  The
     phase (k mod G) * t mod G is an exact integer, divided exactly by G.
-    Sub-grids go through one 2-D FFT per batch of _SUBGRID_BATCH points, and
-    only the running maximum of |.| is kept: memory is O(L + atoms), work
-    P * |Delta mu| + G log L.
+    Sub-grids go through one 2-D FFT per batch of _SUBGRID_BATCH points, the
+    factor takes _SUBGRID_MIN of them per call, and only the running maximum
+    of |.| is kept: memory is O(L + atoms), work P * atoms + G log L.
 
-    Roundoff, u = 2^-53, D = TV(Delta mu) <= 2 TV(mu), M the most atoms of
-    Delta mu on one residue mod L: at first order each computed value is
-    within (22 + sqrt(2) M + 7 log2 L) u D of T(m/G).
-      - Differences: one rounding per collision, u |d_k|.
+    Roundoff, u = 2^-53, D = sum |d_k|, M the most atoms on one residue mod
+    L: at first order F is within E = (19 + sqrt(2) M + 7 log2 L) u D.
       - Modulation: the angle 2 pi (r/G) rounds twice (4 pi u), cos and sin
         are within one ulp (2 sqrt(2) u), the complex product adds
         sqrt(2) gamma_2: under 19 u |d_k|.
@@ -367,15 +365,17 @@ def _subgrid_max(mu: WeightedMeasure, G: int) -> float:
         Stability of Numerical Algorithms, 2nd ed., 2002, sec. 24.1), taken
         componentwise: every input reaches every output along one path of
         unit-modulus factors, so each output is within log2 L * 7u * D.
-      - |.|: one ulp, 2u D.
-    The full-grid path below _SUBGRID_MIN has the same form, with 2 TV(mu)
-    for D, log2 G for log2 L and the atoms of mu per residue mod G for M.
-    For TV(mu) <= 1 (every family measure is a probability measure), M <=
-    2^10 and L <= 2^25 the bound is 2 (22 + 1449 + 175) u < 3.7e-13, under
-    _FP_SLACK: the range where ``_refine``'s lower end rests on _FP_SLACK
-    today (ROADMAP item 3 derives the slack beyond it).
+    The full-grid path below _SUBGRID_MIN has the same form, with the atoms
+    per residue mod G for M.  For TV(mu) <= 1 (every family measure is a
+    probability measure), M <= 2^10 and L <= 2^25, criterion 09's range:
+      - triviality: the difference measure (D <= 2 TV(mu)) rounds once per
+        collision and |.| adds 2u D: E + 3u D <= 2 (22 + 1449 + 175) u;
+      - sigma deficit (D = TV(mu)): f = 1 - sigma_hat has modulus <= 2 and
+        error <= 30u (``czmax.sigma_hat_grid``), the product adds
+        sqrt(2) gamma_2 2D and |.| 4u D: 2E + 40u D <= (2 (19 + 1449 + 175) + 40) u.
+    Both are under 3.7e-13 < _FP_SLACK; ROADMAP item 3 derives the slack beyond.
     """
-    sites, d = _difference_measure(mu, G)
+    sites = sites & (G - 1)
     L = min(G, max(_SUBGRID_MIN, _next_pow2(4 * len(sites))))
     P = G // L
     rows = max(1, min(P, _SUBGRID_BATCH // L))
@@ -383,15 +383,20 @@ def _subgrid_max(mu: WeightedMeasure, G: int) -> float:
     batch = np.empty((rows, L), dtype=np.complex128)
     flat = batch.reshape(-1)
     mags = np.empty((rows, L))
+    C = min(L, _SUBGRID_MIN)  # factor points per call
     best = 0.0
     for t0 in range(0, P, rows):
         t = np.arange(t0, t0 + rows, dtype=np.int64)[:, None]
         phase = (sites * t) & (G - 1)  # exact: both factors are below G
         vals = np.exp((2j * math.pi) * (phase / G))
-        vals *= d
+        vals *= weights
         flat.fill(0.0)
         np.add.at(flat, (np.arange(rows)[:, None] * L + cols).ravel(), vals.ravel())
         np.fft.ifft(batch, axis=1, norm="forward", out=batch)
+        if factor is not None:
+            for j in range(0, rows * L, C):
+                i, s = divmod(j, L)  # flat[j] is m = t0 + i + P*s
+                flat[j : j + C] *= factor(t0 + i + P * np.arange(s, s + C), G)
         best = max(best, float(np.abs(batch, out=mags).max()))
     return best
 
@@ -404,7 +409,7 @@ def _triviality_max(
     ``coarse_fold``, when given, is mu's fold mod _COARSE_GRID; the coarse
     grid consumes it (``_refine`` evaluates each grid size once)."""
     if G > _SUBGRID_MIN:
-        return _subgrid_max(mu, G)
+        return _subgrid_max(*_difference_measure(mu), G)
     folded = coarse_fold if G == _COARSE_GRID else None
     return float(np.max(_triviality_on_grid(mu, G, folded)))
 
@@ -449,7 +454,7 @@ def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     """The one grid-refinement policy behind every certified sup bracket.
 
     Evaluates max |T| on equispaced grids from the coarse grid up (``evaluate``
-    returns |T| on the grid, or its maximum), keeping the largest grid max
+    returns that maximum as a float), keeping the largest grid max
     (less roundoff) as the lower end and the smallest rigorous bound as the
     upper end.  After each grid, ``next_width(lower, upper)``
     returns None to stop, or the bracket width the next grid must reach; that
@@ -465,7 +470,7 @@ def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     lower = 0.0
     upper = math.inf
     while True:
-        gridmax = float(np.max(evaluate(G)))
+        gridmax = evaluate(G)
         lower = max(lower, gridmax - _FP_SLACK)
         upper = min(upper, _upper_from_grid(gridmax, G, degree, lip))
         width = next_width(lower, upper)
@@ -487,8 +492,8 @@ def bracket_sup(
 ) -> SupBracket:
     """Rigorously bracket the sup of |T| for a trig polynomial T on the circle.
 
-    ``evaluate(G)`` must return |T| at the G equispaced points m/G (or their
-    maximum), ``degree`` a bound on the centered degree of T and ``lip`` on
+    ``evaluate(G)`` must return the maximum of |T| over the G equispaced
+    points m/G, ``degree`` a bound on the centered degree of T and ``lip`` on
     its derivative.  Grids are refined until the enclosure width is <= tol; ResourceCapError if that
     needs a grid beyond ``grid_cap`` (the cap is never silently relaxed: the
     upper end must stay a true bound).

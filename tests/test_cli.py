@@ -119,6 +119,8 @@ def test_bad_family_exit_2(tmp_path):
          "--indices", "4"],
         ["dynsys-trace", "--system", "cyclic:15", "--f", "trig:1", "--family", "squares",
          "--indices", "4", "--x-samples", "0"],
+        ["dynsys-trace", "--system", "cyclic:15", "--f", "indicator:0:1",
+         "--family", "squares", "--indices", "4,8", "--x-samples", "2"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", ""],

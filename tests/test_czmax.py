@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,7 @@ from ergodecay import (
     weak11_rows,
 )
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
-from ergodecay.measures import _from_arrays, convolve
+from ergodecay.measures import SupBracket, _from_arrays, convolve
 
 from helpers import (
     dense_cz_decompose,
@@ -310,25 +311,45 @@ def test_sigma_hat_closed_form_matches_measure():
     for S_prev, n in ((0, 1), (2, 1), (3, 2)):
         G = 64
         direct = fourier_grid(sigma_n(S_prev, n), G)
-        closed = sigma_hat_grid(S_prev, n, G)
+        closed = sigma_hat_grid(S_prev, n, np.arange(G), G)
         assert np.max(np.abs(direct - closed)) < 1e-12
         assert closed[0] == pytest.approx(1.0)
 
 
 def test_sigma_hat_grid_bit_identical_to_formula():
     # the closed form as written, one temporary per operation
-    # 2^21 + 3 points: two whole blocks of the blocked evaluation and a ragged tail
+    # 2^21 + 3 points: an odd G, where G // 2 is not G/2 in the residue reduction
     cases = ((0, 1, 64), (3, 2, 1000), (6, 3, 4096), (20, 1, 1 << 14), (6, 3, (1 << 21) + 3))
     for S_prev, n, G in cases:
         M = 1 << (S_prev + n)
         m = np.arange(G, dtype=np.int64)
-        num = np.sin(np.pi * ((M * m) % (2 * G)) / G)
-        den = M * np.sin(np.pi * m / G)
-        phase = np.exp(2j * np.pi * (((M + 1) * m) % (2 * G)) / (2 * G))
+        r = (M * m + G // 2) % (2 * G) - G // 2
+        num = np.sin(np.pi * np.where(r > G // 2, G - r, r) / G)
+        den = M * np.sin(np.pi * np.minimum(m, G - m) / G)
         with np.errstate(invalid="ignore", divide="ignore"):
-            want = phase * num / np.where(den == 0.0, 1.0, den)
-        want[0] = 1.0
-        assert sigma_hat_grid(S_prev, n, G).tobytes() == want.tobytes(), (S_prev, n, G)
+            ratio = np.where(den == 0.0, 1.0, num / den)
+        angle = np.pi * (((M + 1) * m) % (2 * G)) / G
+        want = np.empty(G, dtype=np.complex128)
+        want.real, want.imag = np.cos(angle) * ratio, np.sin(angle) * ratio
+        assert sigma_hat_grid(S_prev, n, m, G).tobytes() == want.tobytes(), (S_prev, n, G)
+
+
+@pytest.mark.parametrize("G", [4096, 1 << 25])
+@pytest.mark.parametrize("S_prev, n", [(0, 1), (6, 3)])
+def test_sigma_hat_grid_accurate_near_one(S_prev, n, G):
+    # sin(pi m/G) is tiny near m = G: an unreduced angle there is off by up to
+    # G ulps (about 7e-10 at m = G - 1 for G = 2^25, M = 512)
+    M = 1 << (S_prev + n)
+    m = np.array([0, 1, 7, G // 2 - 1, G // 2, G // 3, G - 1000, G - 7, G - 2, G - 1])
+    got = sigma_hat_grid(S_prev, n, m, G)
+    for mi, v in zip(m.tolist(), got):
+        with mpmath.workdps(40):
+            g = mpmath.mpf(mi) / G
+            exact = complex(
+                mpmath.expjpi((M + 1) * g) * mpmath.sinpi(M * g) / (M * mpmath.sinpi(g))
+                if mi else 1
+            )
+        assert abs(complex(v) - exact) <= 30 * 2.0**-53, (mi, v)
 
 
 def test_sigma_deficit_delta0_vs_grid_oracle():
@@ -347,8 +368,23 @@ def test_sigma_deficit_sigma_itself():
     br = report["bracket"]
     G = 4 * br.grid_size
     vals = fourier_grid(mu, G)
-    oracle = np.max(np.abs(vals * (1.0 - sigma_hat_grid(1, 1, G))))
+    oracle = np.max(np.abs(vals * (1.0 - sigma_hat_grid(1, 1, np.arange(G), G))))
     assert br.lower - 1e-9 <= oracle <= br.upper + 1e-9
+
+
+def test_sigma_deficit_zero_measure_reports_every_key():
+    report = sigma_deficit_sup(make_measure([]), 1, 2, 1e-6)
+    assert report["bracket"] == SupBracket(0.0, 0.0, 0)
+    assert report["triviality_upper"] == report["paper_bound"] == 0.0
+    assert report["paper_target"] == 2.0**-3
+
+
+@pytest.mark.parametrize("S_prev, n", [(-1, 1), (2, 0), (1, -3)])
+def test_sigma_deficit_rejects_what_sigma_n_rejects(S_prev, n):
+    with pytest.raises(ValueError, match="need S_prev >= 0 and n >= 1"):
+        sigma_n(S_prev, n)
+    with pytest.raises(ValueError, match="need S_prev >= 0 and n >= 1"):
+        sigma_deficit_sup(point_mass(0), S_prev, n, 1e-3)
 
 
 def test_sigma_deficit_paper_chain():

@@ -107,6 +107,13 @@ def test_cyclic_agrees_with_convolution_oracle():
         assert weighted_average(sys_, f, mu, x) == pytest.approx(brute, abs=1e-12)
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (0.3, 0.3), (0.25, 2.25), (-0.5, 0.5)])
+def test_indicator_ends_that_agree_mod_1_are_refused(a, b):
+    # [a, b) with a = b mod 1 is the empty arc or the whole circle
+    with pytest.raises(ConfigError, match="agree mod 1"):
+        indicator_function(a, b)
+
+
 def test_table_requires_cyclic():
     with pytest.raises(ConfigError):
         weighted_average(golden_rotation(), table_function([1, 2]), point_mass(0), 0.5)

@@ -23,12 +23,14 @@ from ergodecay import (
     point_mass,
     rho_power,
     rotated_squares_measure,
+    sigma_deficit_sup,
     sigma_n,
     squares_measure,
     triviality_sup,
 )
 from ergodecay import measures
 from ergodecay.cli import main
+from ergodecay.czmax import sigma_hat_grid
 from ergodecay.measures import (
     _FP_SLACK,
     _fold_mod,
@@ -290,7 +292,8 @@ def _subgrid_cases(draw):
 @example((1 << 18, make_measure([(-1, 2j), ((1 << 18) - 1, 0.5), (1 << 18, -3.0)])))
 def test_subgrid_max_matches_full_grid(case):
     G, mu = case
-    assert abs(_subgrid_max(mu, G) - _full_grid_max(mu, G)) <= _grid_roundoff(mu, G)
+    got = _subgrid_max(*_difference_measure(mu), G)
+    assert abs(got - _full_grid_max(mu, G)) <= _grid_roundoff(mu, G)
 
 
 @pytest.mark.parametrize(
@@ -308,16 +311,16 @@ def test_subgrid_max_is_the_exact_value_at_the_grid_argmax(mu):
     m = int(np.argmax(np.abs(factor * fourier_grid(mu, G))))
     exact = abs((1 - cmath.exp(2j * cmath.pi * m / G)) * fourier_at(mu, Fraction(m, G)))
     # the reference argmax may be a near tie off by its own roundoff: twice the bound
-    assert abs(_subgrid_max(mu, G) - exact) <= 2 * _grid_roundoff(mu, G)
+    got = _subgrid_max(*_difference_measure(mu), G)
+    assert abs(got - exact) <= 2 * _grid_roundoff(mu, G)
 
 
 def test_difference_measure_is_convolution_with_delta0_minus_delta1():
     mu = make_measure([(-9, 0.5), (-8, 0.5), (-7, 0.25 + 1j), (-5, 3.0), (11, 2.0), (12, -2j)])
     ref = convolve(mu, make_measure([(0, 1.0), (1, -1.0)]))
-    sites, weights = _difference_measure(mu, 1 << 62)
-    ref_sites = np.mod(ref.sites, 1 << 62)
-    order, ref_order = np.argsort(sites), np.argsort(ref_sites)
-    assert np.array_equal(sites[order], ref_sites[ref_order])
+    sites, weights = _difference_measure(mu)
+    order, ref_order = np.argsort(sites), np.argsort(ref.sites)
+    assert np.array_equal(sites[order], ref.sites[ref_order])
     assert np.array_equal(weights[order], ref.weights[ref_order])  # -0.0 == 0.0
 
 
@@ -331,6 +334,42 @@ def test_subgrid_refinement_allocates_no_full_grid():
     assert br.grid_size == 1 << 22
     # one complex128 array of the grid would be 64 MB
     assert peak < (16 << 22) // 4, peak
+
+
+def test_sigma_deficit_refinement_allocates_no_full_grid():
+    tracemalloc.start()
+    try:
+        br = sigma_deficit_sup(squares_measure(180), 2, 1, 1e-4)["bracket"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert br.grid_size == 1 << 22
+    # one complex128 array of the grid would be 64 MB
+    assert peak < (16 << 22) // 4, peak
+
+
+# the sigma deficit: sub-grids times 1 - sigma_hat, against the whole grid
+_DEFICIT_CASES = [
+    make_measure([(-9, 0.5 - 2j), (-4096, 1j), (4095, -1.0), (3, -0.5 + 0.25j)]),
+    make_measure([(-70001, 0.25 + 0.5j), (-3, -1j), (-2, 0.75), (5, 0.125 - 0.25j),
+                  (300007, -0.5)]),
+]
+
+
+@pytest.mark.parametrize("S_prev, n", [(0, 1), (3, 2)])
+@pytest.mark.parametrize("G", [1 << 17, 1 << 20])  # P = 2 and 16 sub-grids
+@pytest.mark.parametrize("mu", _DEFICIT_CASES, ids=["four", "five"])
+def test_sigma_deficit_subgrid_max_matches_full_grid(mu, G, S_prev, n):
+    def deficit(m, G):
+        return 1.0 - sigma_hat_grid(S_prev, n, m, G)
+
+    got = _subgrid_max(mu.sites, mu.weights, G, deficit)
+    want = float(np.max(np.abs(fourier_grid(mu, G) * deficit(np.arange(G), G))))
+    # _subgrid_max's bound 2E + 40u D for both evaluations, every atom on one
+    # residue (M = n atoms), D = TV(mu)
+    u, log2G, D = 2.0**-53, G.bit_length() - 1, mu.total_variation
+    bound = 2 * (2 * (19 + math.sqrt(2) * mu.n_atoms + 7 * log2G) + 40) * u * D
+    assert abs(got - want) <= bound, (got, want, bound)
 
 
 # -- triviality_sup -----------------------------------------------------------
