@@ -151,7 +151,9 @@ def weighted_average(sys: System, f: ObservedFunction, mu: WeightedMeasure, x) -
         elif f.kind == "trig":
             values = np.exp(2j * math.pi * ((f.m * pos) % M) / M)
         elif f.kind == "indicator":
-            values = _in_arc(pos, int(f.a * M) % M, int(f.b * M) % M)
+            # position p is the point p/M, rounded once as a rotation orbit's
+            # fractions are, so cyclic:M agrees with rotation:1/M
+            values = _in_arc(pos / M, f.a, f.b)
         return complex(np.dot(mu.weights, values))
     raise ConfigError(f"unknown system kind {sys.kind!r}")
 

@@ -298,11 +298,13 @@ def perturbed_squares_measure(rho: RhoSpec, N: int) -> WeightedMeasure:
 
 @dataclass(frozen=True)
 class MeasureFamily:
-    """Indexed generator n -> mu_n with an exact support-radius oracle."""
+    """Indexed generator n -> mu_n with an exact support-radius oracle and,
+    optionally, exact residue counts mod 4."""
 
     descriptor: str
     _measure: object
     _radius: object
+    _residue_counts: object = None
 
     def measure(self, n: int) -> WeightedMeasure:
         return self._measure(n)
@@ -310,9 +312,21 @@ class MeasureFamily:
     def support_radius(self, n: int) -> int:
         return int(self._radius(n))
 
+    def residue_counts(self, n: int) -> np.ndarray | None:
+        """c_r(n), the number of mu_n's sites = r mod 4 for r = 0..3, when
+        mu_n is uniform on n distinct sites and the family keeps the counts;
+        else None."""
+        return None if self._residue_counts is None else self._residue_counts(n)
+
 
 def squares_family() -> MeasureFamily:
-    return MeasureFamily("squares", squares_measure, lambda n: n * n)
+    # k^2 = 0 mod 4 for even k and 1 mod 4 for odd k
+    return MeasureFamily(
+        "squares",
+        squares_measure,
+        lambda n: n * n,
+        lambda n: np.array([n // 2, n - n // 2, 0, 0], dtype=np.int64),
+    )
 
 
 def rotated_family(variant: str = "quadratic") -> MeasureFamily:
@@ -325,24 +339,52 @@ def rotated_family(variant: str = "quadratic") -> MeasureFamily:
 
 def perturbed_family(rho: RhoSpec) -> MeasureFamily:
     """mu_n = perturbed_squares_measure(rho, n), read off one site array that
-    grows by doubling, so a scan over n computes each floor once."""
+    grows by doubling, so a scan over n computes each floor once.
+
+    Each growth block also checks once that the sites still strictly increase
+    (they do for every rho of the menu, which is nondecreasing) and extends
+    the prefix counts: row n of ``counts`` holds c_r(n), the number of the
+    first n sites = r mod 4.  While the sites increase, mu_n is uniform on n
+    distinct sites: it skips ``_uniform_on``'s check, and ``residue_counts``
+    serves row n.  Otherwise measures go through that check, which merges
+    collisions, and the family has no counts.
+    """
     sites = np.empty(0, dtype=np.int64)
+    counts = np.zeros((1, 4), dtype=np.int64)
+    increasing = True
 
     def prefix(n: int) -> np.ndarray:
-        nonlocal sites
+        nonlocal sites, counts, increasing
         if n < 1:
             raise ValueError("N must be >= 1")
         if n > len(sites):
             size = max(n, 2 * len(sites), _FIRST_BLOCK)
-            sites = np.concatenate([sites, _perturbed_sites(rho, len(sites) + 1, size + 1)])
+            block = _perturbed_sites(rho, len(sites) + 1, size + 1)
+            increasing = increasing and bool(
+                np.all(np.diff(np.concatenate([sites[-1:], block])) > 0)
+            )
+            if increasing:
+                grown = counts[-1] + np.cumsum((block[:, None] & 3) == np.arange(4), axis=0)
+                counts = np.concatenate([counts, grown])
+                counts.flags.writeable = False
+            sites = np.concatenate([sites, block])
             sites.flags.writeable = False  # measures share its prefixes
         return sites[:n]
+
+    def measure(n: int) -> WeightedMeasure:
+        view = prefix(n)
+        return _uniform_on(view, increasing=increasing)
+
+    def residue_counts(n: int) -> np.ndarray | None:
+        prefix(n)
+        return counts[n] if increasing else None
 
     # sites k^2 + floor(rho(k)) are increasing in k, so the radius is the last site
     return MeasureFamily(
         f"perturbed:{rho.descriptor()}",
-        lambda n: _uniform_on(prefix(n)),
+        measure,
         lambda n: prefix(n)[-1],
+        residue_counts,
     )
 
 

@@ -44,7 +44,9 @@ from .errors import ResourceCapError
 
 TWO_PI = 2.0 * math.pi
 
-# Largest FFT grid triviality_sup may allocate (complex128 => 16 bytes/point).
+# Largest grid a sup bracket or certification evaluates.  Sub-grids keep memory
+# at O(L + atoms) for any G (``_subgrid_max``), so the cap bounds time: work
+# grows as G log G.
 DEFAULT_GRID_CAP = 1 << 25
 
 # First grid of every sup bracket and certification.
@@ -214,18 +216,20 @@ def _from_arrays(sites: np.ndarray, weights: np.ndarray) -> WeightedMeasure:
     return WeightedMeasure(sites, weights, _total_variation(weights))
 
 
-def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
+def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
     """Uniform probability measure on the given sites: weight 1/N on each.
 
     Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
     increasing sites (the families' case) skip its checks: 1/N is nonzero and
     the total variation N*(1/N) rounds the exact sum of the N weights once, so
     it is the double ``fsum`` returns.  Other sites go through
-    ``_from_arrays``, which sorts them and merges collisions.
+    ``_from_arrays``, which sorts them and merges collisions.  A caller that
+    knows the sites strictly increase passes ``increasing=True`` and skips
+    the O(N) check.
     """
     N = len(sites)
     weights = np.full(N, 1.0 / N, dtype=np.complex128)
-    if N > 1 and not np.all(sites[1:] > sites[:-1]):
+    if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
         return _from_arrays(sites, weights)
     return WeightedMeasure(sites, weights, N * (1.0 / N))
 
@@ -546,7 +550,12 @@ def _quarter_witness(mu: WeightedMeasure, fold: np.ndarray | None = None) -> flo
     ``fold`` may instead be mu's fold mod a multiple of 4 (the coarse grid's):
     W_r is then the sum of its len(fold)/4 bins = r mod 4, each weight passes
     through at most len(fold)/4 - 1 more additions, and the slack takes
-    gamma_(n+7+len(fold)/4) in place of gamma_(n+8).
+    gamma_(n+7+len(fold)/4) in place of gamma_(n+8).  For mu uniform on n
+    atoms, c_r of them on sites = r mod 4, a 4-bin ``fold`` of c_r/n gives
+    the witness in O(1): each W_r rounds once and lies within (2u + u^2)|W_r|
+    of the exact sum c_r fl(1/n) of the stored weights, no more than the
+    gamma_n |W_r| a ``bincount`` sum may miss it by (for n >= 2; at n = 1 the
+    weight is exact), so the same slack covers it.
     """
     if fold is None:
         fold = _fold_mod(mu, 4)
@@ -566,6 +575,7 @@ def certify_sup_below(
     threshold: float,
     grid_cap: int = DEFAULT_GRID_CAP,
     skip_above: float = math.inf,
+    residue_counts: np.ndarray | None = None,
 ) -> tuple[bool | None, float, float, int]:
     """Decide whether the triviality functional is provably <= threshold.
 
@@ -581,17 +591,28 @@ def certify_sup_below(
     evaluating any grid.  The witness is no larger than the coarse-grid lower
     bound (see ``_quarter_witness``), so a caller that keeps the minimum of
     ``lower`` and passes that minimum as ``skip_above`` sees the same minimum
-    and the same verdicts.  Measures of _SUBGRID_MIN atoms or more take the
-    witness from their fold mod _COARSE_GRID, which the coarse grid then
-    reuses: one pass over the atoms instead of two.
+    and the same verdicts.
+
+    ``residue_counts``, when given, are the exact counts c_r of mu's atoms on
+    sites = r mod 4 (r = 0..3) for mu uniform on its atoms, as a family's
+    ``residue_counts`` serves them.  The witness then takes W_r = c_r / n_atoms
+    and reads no atom, so a witness rejection costs O(1); the coarse grid, if
+    it runs, folds the atoms itself.  Without counts, measures of
+    _SUBGRID_MIN atoms or more take the witness from their fold mod
+    _COARSE_GRID, which the coarse grid then reuses: one pass over the atoms
+    instead of two.
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
     coarse_fold = None
     if skip_above < math.inf:
-        if mu.n_atoms >= _SUBGRID_MIN:
-            coarse_fold = _fold_mod(mu, _COARSE_GRID)
-        witness = _quarter_witness(mu, coarse_fold)
+        if residue_counts is not None:
+            fold = residue_counts / mu.n_atoms
+        elif mu.n_atoms >= _SUBGRID_MIN:
+            fold = coarse_fold = _fold_mod(mu, _COARSE_GRID)
+        else:
+            fold = None
+        witness = _quarter_witness(mu, fold)
         if witness > threshold and witness > skip_above:
             return False, witness, math.inf, 0
 

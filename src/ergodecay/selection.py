@@ -139,6 +139,10 @@ def select_subsequence(
     least the witness, so it could not have lowered the minimum: the reported
     ``best_sup_lower`` and the counts are those of a grid run on every
     candidate, and no admissible candidate is skipped (witness <= sup <= bound).
+    The witness comes from the family's ``residue_counts`` when it keeps them,
+    in O(1) per candidate, and otherwise from a fold of the candidate's atoms;
+    both are certified lower bounds no larger than the coarse-grid lower
+    bound, so the two give the same chosen indices, verdicts and report.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -172,7 +176,8 @@ def select_subsequence(
                 continue
             mu = family.measure(n)
             verdict, lower, upper, _grid = certify_sup_below(
-                mu, bound, grid_cap=grid_cap, skip_above=best_lower
+                mu, bound, grid_cap=grid_cap, skip_above=best_lower,
+                residue_counts=family.residue_counts(n),
             )
             best_lower = min(best_lower, lower)
             if verdict is True:

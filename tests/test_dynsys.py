@@ -107,6 +107,28 @@ def test_cyclic_agrees_with_convolution_oracle():
         assert weighted_average(sys_, f, mu, x) == pytest.approx(brute, abs=1e-12)
 
 
+def test_cyclic_indicator_counts_positions_inside_the_arc():
+    # position p is the point p/15: 1/15 lies below [0.1, 0.2) and 3/15 at
+    # its open end; the wrap-around arc [0.9, 0.1) holds 14/15, 0 and 1/15
+    sys_ = cyclic_system(15)
+    inside = [
+        weighted_average(sys_, indicator_function(a, b), point_mass(0), x)
+        for a, b, xs in [(0.1, 0.2, range(4)), (0.9, 0.1, (13, 14, 0, 1, 2))]
+        for x in xs
+    ]
+    assert inside == [0, 0, 1, 0, 0, 1, 1, 1, 0]
+
+
+@pytest.mark.parametrize("a, b", [(0.1, 0.2), (0.0, 0.5), (0.9, 0.1), (0.75, 0.25), (1 / 3, 2 / 3)])
+def test_cyclic_indicator_agrees_with_rotation_by_one_over_M(a, b):
+    f = indicator_function(a, b)
+    mu = squares_measure(40)
+    for M in (3, 7, 12, 15, 105):
+        for x in range(M):
+            want = weighted_average(rotation_system(Fraction(1, M)), f, mu, Fraction(x, M))
+            assert weighted_average(cyclic_system(M), f, mu, x) == want, (M, x)
+
+
 @pytest.mark.parametrize("a, b", [(0, 1), (0.3, 0.3), (0.25, 2.25), (-0.5, 0.5)])
 def test_indicator_ends_that_agree_mod_1_are_refused(a, b):
     # [a, b) with a = b mod 1 is the empty arc or the whole circle

@@ -25,6 +25,8 @@ from ergodecay import (
     squares_family,
     squares_measure,
 )
+from ergodecay import families
+from ergodecay.measures import _uniform_on
 
 
 # -- rho menu -------------------------------------------------------------------
@@ -358,6 +360,59 @@ def test_perturbed_family_prefix_cache_matches_direct_build(rho):
             fam.measure(bad)
         with pytest.raises(ValueError):
             fam.support_radius(bad)
+
+
+_GROWTH_WALK = (1, 2, 1023, 1024, 1025, 5, 2047, 2048, 2049, 300, 4097, 12_000, 4096, 1)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [rho_power(Fraction(1, 4)), rho_power(Fraction(3, 10)), rho_log(1.0), rho_log_power(1.5)],
+)
+def test_perturbed_family_residue_counts_match_bincount(rho):
+    # c_r(n) = #{k <= n : site_k = r mod 4}, across the growth points,
+    # downwards and in jumps, and on a fresh family whose first call is large
+    fam = perturbed_family(rho)
+    for n in _GROWTH_WALK:
+        want = np.bincount(fam.measure(n).sites & 3, minlength=4)
+        assert fam.residue_counts(n).tolist() == want.tolist(), n
+    fresh = perturbed_family(rho)
+    counts = fresh.residue_counts(5000)
+    want = np.bincount(perturbed_squares_measure(rho, 5000).sites & 3, minlength=4)
+    assert counts.tolist() == want.tolist()
+    assert not counts.flags.writeable
+
+
+def test_squares_family_residue_counts_match_bincount():
+    fam = squares_family()
+    for n in (1, 2, 3, 4, 99, 100, 1001):
+        want = np.bincount(fam.measure(n).sites & 3, minlength=4)
+        assert fam.residue_counts(n).tolist() == want.tolist(), n
+    assert rotated_family().residue_counts(10) is None  # weights are not uniform
+
+
+def test_perturbed_family_without_increasing_sites_drops_its_counts(monkeypatch):
+    # a block whose sites do not strictly increase (no rho of the menu gives
+    # one) sends every measure through _uniform_on's check, which merges the
+    # collisions, and withdraws the counts
+    real = families._perturbed_sites
+
+    def colliding(rho, k_lo, k_hi):
+        sites = real(rho, k_lo, k_hi)
+        if k_lo > 1:
+            sites[1] = sites[0]
+        return sites
+
+    monkeypatch.setattr(families, "_perturbed_sites", colliding)
+    rho = rho_power(Fraction(1, 4))
+    fam = perturbed_family(rho)
+    assert fam.residue_counts(1024).tolist() == np.bincount(
+        fam.measure(1024).sites & 3, minlength=4
+    ).tolist()
+    mu = fam.measure(1030)
+    assert fam.residue_counts(1030) is None and fam.residue_counts(5) is None
+    want = np.concatenate([real(rho, 1, 1025), colliding(rho, 1025, 2049)])[:1030]
+    assert mu == _uniform_on(want) and mu.n_atoms == 1029
 
 
 # -- descriptors -------------------------------------------------------------------

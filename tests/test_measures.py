@@ -603,6 +603,42 @@ def test_quarter_witness_below_coarse_grid_lower_bound(family):
         assert _quarter_witness(mu) <= grid_lower, n
 
 
+@pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "perturbed:log:1"])
+def test_quarter_witness_from_residue_counts(family):
+    # W_r = c_r/n rounds once: within the witness's own slack of the
+    # bincount-based witness, and at or below the coarse-grid lower bound
+    fam = parse_family(family)
+    for n in [*range(1, 40), *range(40, 5000, 97), 1024, 1025, 4096]:
+        mu = fam.measure(n)
+        counted = _quarter_witness(mu, fam.residue_counts(n) / n)
+        m = n + 8
+        slack = 4.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53) * mu.total_variation
+        assert abs(counted - _quarter_witness(mu)) <= slack, n
+        grid_lower = float(np.max(_triviality_on_grid(mu, measures._COARSE_GRID))) - _FP_SLACK
+        assert counted <= grid_lower, n
+
+
+def test_certify_sup_below_with_residue_counts_reads_no_atom(monkeypatch):
+    # 2^17 atoms: a rejection from the counts folds nothing; when the witness
+    # does not reject, the coarse grid folds the atoms itself and the answer is
+    # the one without counts
+    fam = parse_family("squares")
+    n = 1 << 17
+    mu, counts = fam.measure(n), fam.residue_counts(n)
+    plain = certify_sup_below(mu, 0.01)
+    folds = []
+    real_fold = measures._fold_mod
+    monkeypatch.setattr(measures, "_fold_mod", lambda mu, G: folds.append(G) or real_fold(mu, G))
+    witness = _quarter_witness(mu, counts / n)
+    assert plain[0] is False and 0.01 < witness <= plain[1]
+    assert certify_sup_below(mu, 0.01, skip_above=0.0, residue_counts=counts) == (
+        False, witness, math.inf, 0,
+    )
+    assert folds == []
+    assert certify_sup_below(mu, 0.01, skip_above=witness, residue_counts=counts) == plain
+    assert folds == [measures._COARSE_GRID]
+
+
 def test_certify_sup_below_witness_rejection():
     mu = squares_measure(100)  # squares sit on residues 0 and 1 mod 4: |T(1/4)| is 1
     grid = certify_sup_below(mu, 0.01)

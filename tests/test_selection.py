@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -187,6 +188,21 @@ def test_select_scan_stall_report_at_cap_8000():
         "search_cap": 8000,
         "chosen_so_far": [1],
     }
+
+
+@pytest.mark.parametrize("family", ["perturbed:power:0.25", "perturbed:log:1"])
+def test_stall_report_same_with_and_without_residue_counts(family):
+    # the O(1) witness from the family's counts and the witness from a fold of
+    # each candidate's atoms must give the same report, bit for bit
+    fam = parse_family(family)
+    reports = []
+    for f in (fam, dataclasses.replace(fam, _residue_counts=None)):
+        with pytest.raises(SelectionStalled) as exc:
+            select_subsequence(f, 3, search_cap=2000)
+        reports.append(json.dumps(exc.value.report, sort_keys=True))
+    assert fam.residue_counts(2000) is not None
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["rejected"] == 1999
 
 
 def test_select_perturbed_small_cap_stalls():
