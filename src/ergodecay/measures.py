@@ -122,11 +122,14 @@ def _csum(values: np.ndarray) -> complex:
 class WeightedMeasure:
     """Finitely supported complex measure: sorted sites with nonzero weights.
 
-    Instances are immutable; every operation returns a new measure.
+    Instances are immutable; every operation returns a new measure.  The
+    arrays may be read-only views: a uniform measure's weights are one
+    complex 1/N broadcast to N entries (``_uniform_on``), which take no
+    memory and raise on any in-place write.
     """
 
     sites: np.ndarray  # int64, strictly increasing
-    weights: np.ndarray  # complex128, no exact zeros
+    weights: np.ndarray  # complex128, no exact zeros; possibly a read-only view
     total_variation: float
 
     @property
@@ -222,16 +225,17 @@ def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
     Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
     increasing sites (the families' case) skip its checks: 1/N is nonzero and
     the total variation N*(1/N) rounds the exact sum of the N weights once, so
-    it is the double ``fsum`` returns.  Other sites go through
-    ``_from_arrays``, which sorts them and merges collisions.  A caller that
-    knows the sites strictly increase passes ``increasing=True`` and skips
-    the O(N) check.
+    it is the double ``fsum`` returns.  Their weights are the one complex 1/N
+    broadcast to N entries, a read-only view with zero stride, so the measure
+    costs O(1) beyond its sites.  Other sites go through ``_from_arrays`` with
+    materialised weights, which sorts them and merges collisions.  A caller
+    that knows the sites strictly increase passes ``increasing=True`` and
+    skips the O(N) check.
     """
     N = len(sites)
-    weights = np.full(N, 1.0 / N, dtype=np.complex128)
     if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
-        return _from_arrays(sites, weights)
-    return WeightedMeasure(sites, weights, N * (1.0 / N))
+        return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+    return WeightedMeasure(sites, np.broadcast_to(complex(1.0 / N), (N,)), N * (1.0 / N))
 
 
 def _total_variation(weights: np.ndarray) -> float:
@@ -330,17 +334,29 @@ def _difference_measure(mu: WeightedMeasure) -> tuple[np.ndarray, np.ndarray]:
 
     Atom i contributes w_i at s_i and -w_i at s_i + 1.  The sites are strictly
     increasing, so s_i + 1 can only meet s_(i+1); there the weight is
-    w_(i+1) - w_i, one rounding.  Exact zeros are dropped.
+    w_(i+1) - w_i, one rounding.  Exact zeros are dropped.  The atoms are
+    taken in blocks of _SUBGRID_MIN, so no n-length temporary is made beyond
+    the kept atoms (a uniform measure on consecutive sites keeps 2).
     """
     s, w = mu.sites, mu.weights
-    # s_(i+1) - s_i wraps only for spans past 2^63, and then it is not 1
-    adjacent = s[1:] - s[:-1] == 1
-    head = w.copy()
-    np.subtract(w[1:], w[:-1], out=head[1:], where=adjacent)
-    tail = np.append(~adjacent, True)  # atoms whose s_i + 1 is no site
-    nonzero = head != 0
-    sites = np.concatenate([s[nonzero], s[tail] + 1])
-    return sites, np.concatenate([head[nonzero], -w[tail]])
+    n = len(s)
+    head_s, head_w, tail_s, tail_w = [], [], [], []
+    for i0 in range(0, n, _SUBGRID_MIN):
+        i1 = min(n, i0 + _SUBGRID_MIN)
+        # edge[j]: sites i0+j-1 and i0+j are adjacent, False off either end;
+        # s_(i+1) - s_i wraps only for spans past 2^63, and then it is not 1
+        edge = np.zeros(i1 - i0 + 1, dtype=bool)
+        edge[i0 == 0 : len(edge) - (i1 == n)] = np.diff(s[max(i0 - 1, 0) : i1 + 1]) == 1
+        head = np.array(w[i0:i1])
+        j0 = max(i0, 1)
+        np.subtract(w[j0:i1], w[j0 - 1 : i1 - 1], out=head[j0 - i0 :], where=edge[j0 - i0 : -1])
+        nonzero = head != 0
+        tail = ~edge[1:]  # atoms whose s_i + 1 is no site
+        head_s.append(s[i0:i1][nonzero])
+        head_w.append(head[nonzero])
+        tail_s.append(s[i0:i1][tail] + 1)
+        tail_w.append(-w[i0:i1][tail])
+    return np.concatenate(head_s + tail_s), np.concatenate(head_w + tail_w)
 
 
 def _subgrid_max(sites: np.ndarray, weights: np.ndarray, G: int, factor=None) -> float:
@@ -454,6 +470,26 @@ def _required_grid(degree: int, lip: float, lower: float, slack: float) -> int:
     return max(4, min(g_lip, g_ez))
 
 
+def _first_grid(grid_cap: int) -> int:
+    """The first grid of every refinement: the coarse grid, or the largest
+    power of two within the cap if that is smaller."""
+    if grid_cap < 2:
+        raise ValueError(f"grid_cap must be >= 2, got {grid_cap}")
+    return min(_COARSE_GRID, 1 << (int(grid_cap).bit_length() - 1))
+
+
+def _grid_lower(gridmax: float) -> float:
+    """Certified lower bound on the sup from one grid's maximum."""
+    return max(0.0, gridmax - _FP_SLACK)
+
+
+def _coarse_lower(mu: WeightedMeasure, grid_cap: int) -> float:
+    """Lower bound on the triviality functional from ``_refine``'s first grid
+    alone: the ``lower`` of a ``certify_sup_below`` call that this grid
+    decides, for a selection scan that runs it after a witness rejection."""
+    return _grid_lower(_triviality_max(mu, _first_grid(grid_cap)))
+
+
 def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     """The one grid-refinement policy behind every certified sup bracket.
 
@@ -465,17 +501,14 @@ def _refine(evaluate, degree: int, lip: float, grid_cap: int, next_width):
     grid is the estimate for the width, and at least double the last one.
     Returns (lower, upper, G, refused): G is the last grid evaluated, and
     ``refused`` the next grid when it would exceed ``grid_cap``, else None.
-    The first grid is the coarse grid, or the largest power of two within
-    the cap if that is smaller.
+    The first grid is ``_first_grid(grid_cap)``.
     """
-    if grid_cap < 2:
-        raise ValueError(f"grid_cap must be >= 2, got {grid_cap}")
-    G = min(_COARSE_GRID, 1 << (int(grid_cap).bit_length() - 1))
+    G = _first_grid(grid_cap)
     lower = 0.0
     upper = math.inf
     while True:
         gridmax = evaluate(G)
-        lower = max(lower, gridmax - _FP_SLACK)
+        lower = max(lower, _grid_lower(gridmax))
         upper = min(upper, _upper_from_grid(gridmax, G, degree, lip))
         width = next_width(lower, upper)
         if width is None:
@@ -588,10 +621,12 @@ def certify_sup_below(
     With a finite ``skip_above``, the witness at gamma = 1/4, 1/2, 3/4 is
     computed first, from four residue sums; when it exceeds both the threshold
     and ``skip_above``, the call returns (False, witness, inf, 0) without
-    evaluating any grid.  The witness is no larger than the coarse-grid lower
-    bound (see ``_quarter_witness``), so a caller that keeps the minimum of
-    ``lower`` and passes that minimum as ``skip_above`` sees the same minimum
-    and the same verdicts.
+    evaluating any grid.  Such a rejection is the verdict the grids would
+    reach, and the witness is no larger than the coarse-grid lower bound
+    (see ``_quarter_witness``) that ``_coarse_lower`` gives.  A selection
+    scan passes the threshold itself, so every witness above it rejects, and
+    runs ``_coarse_lower`` later on the few rejections that can lower its
+    reported minimum.
 
     ``residue_counts``, when given, are the exact counts c_r of mu's atoms on
     sites = r mod 4 (r = 0..3) for mu uniform on its atoms, as a family's

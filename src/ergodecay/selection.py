@@ -28,6 +28,7 @@ from .families import MeasureFamily
 from .measures import (
     DEFAULT_GRID_CAP,
     WeightedMeasure,
+    _coarse_lower,
     _from_arrays,
     certify_sup_below,
     triviality_sup,
@@ -73,6 +74,10 @@ def n_of_s(family: MeasureFamily, s: int, search_cap: int = 10**6) -> int:
     raise ResourceCapError(
         f"n_of_s: no n <= {search_cap} with S(n) > {s}; family supports may be bounded"
     )
+
+
+# Witness rejections held back before their coarse grids are settled
+_PENDING_MAX = 32
 
 
 def _stage_bound(S_prev: int, k: int) -> float:
@@ -132,20 +137,27 @@ def select_subsequence(
     SelectionStalled when some stage exhausts the cap; the report carries the
     smallest certified lower bound seen at that stage.
 
-    Each candidate gets one ``certify_sup_below`` call with the stage's running
-    minimum of lower bounds as ``skip_above``, so a candidate whose
-    quarter-frequency witness already exceeds both the bound and that minimum
-    is rejected without a grid.  Its coarse-grid lower bound would have been at
-    least the witness, so it could not have lowered the minimum: the reported
-    ``best_sup_lower`` and the counts are those of a grid run on every
-    candidate, and no admissible candidate is skipped (witness <= sup <= bound).
-    The witness comes from the family's ``residue_counts`` when it keeps them,
-    in O(1) per candidate, and otherwise from a fold of the candidate's atoms;
-    both are certified lower bounds no larger than the coarse-grid lower
-    bound, so the two give the same chosen indices, verdicts and report.
+    Each candidate gets one ``family.measure`` and one ``certify_sup_below``
+    call with the stage bound as ``skip_above``, so a candidate whose
+    quarter-frequency witness exceeds the bound is rejected without a grid;
+    no admissible candidate is skipped (witness <= sup <= bound).  The
+    witness comes from the family's ``residue_counts`` when it keeps them,
+    in O(1) per candidate, and otherwise from a fold of the candidate's atoms.
+
+    The report's ``best_sup_lower`` is the least coarse-grid lower bound over
+    the stage's candidates, as a grid on every candidate gives it, bit for
+    bit; the coarse grid runs only where it can lower that minimum.  A
+    witness rejection whose witness lies below the least grid-backed lower
+    bound so far is held back with its measure.  When _PENDING_MAX are held,
+    and before a stall is reported, they are settled: in witness order, each
+    gets the coarse grid while its witness is below the least grid value, and
+    the rest are dropped.  That is exact because the coarse grid holds 1/4,
+    1/2 and 3/4, so no grid value is below its witness.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if grid_cap < 4:
+        raise ValueError(f"grid_cap must be >= 4 to hold the quarter points, got {grid_cap}")
     chosen: list[int] = []
     S_values: list[int] = []
     achieved: list[float] = []
@@ -165,7 +177,8 @@ def select_subsequence(
             bounds.append(bound)
             continue
 
-        best_lower = float("inf")
+        best_lower = float("inf")  # least grid-backed lower bound
+        pending = []  # (witness, n, mu) of witness rejections below it
         n_rejected = 0
         n_uncertifiable = 0
         n_skipped_S = 0
@@ -175,11 +188,10 @@ def select_subsequence(
                 n_skipped_S += 1
                 continue
             mu = family.measure(n)
-            verdict, lower, upper, _grid = certify_sup_below(
-                mu, bound, grid_cap=grid_cap, skip_above=best_lower,
+            verdict, lower, upper, grid = certify_sup_below(
+                mu, bound, grid_cap=grid_cap, skip_above=bound,
                 residue_counts=family.residue_counts(n),
             )
-            best_lower = min(best_lower, lower)
             if verdict is True:
                 accepted = (n, S_n, upper)
                 break
@@ -187,7 +199,14 @@ def select_subsequence(
                 n_rejected += 1
             else:
                 n_uncertifiable += 1
+            if grid:
+                best_lower = min(best_lower, lower)
+            elif lower < best_lower:
+                pending.append((lower, n, mu))
+                if len(pending) >= _PENDING_MAX:
+                    best_lower = _settle(pending, best_lower, grid_cap)
         if accepted is None:
+            best_lower = _settle(pending, best_lower, grid_cap)
             report = {
                 "family": family.descriptor,
                 "stage": k,
@@ -213,6 +232,19 @@ def select_subsequence(
         bounds.append(bound)
 
     return SelectionState(family.descriptor, chosen, S_values, achieved, bounds)
+
+
+def _settle(pending: list, best_lower: float, grid_cap: int) -> float:
+    """Coarse grids on held-back witness rejections, least witness first,
+    while the witness is below the least grid value ``best_lower``; returns
+    the new least value and empties ``pending``."""
+    pending.sort()  # by witness; the distinct n break ties
+    for witness, _n, mu in pending:
+        if witness >= best_lower:
+            break
+        best_lower = min(best_lower, _coarse_lower(mu, grid_cap))
+    pending.clear()
+    return best_lower
 
 
 def verify_selection(family: MeasureFamily, state: SelectionState) -> list[dict]:

@@ -76,18 +76,32 @@ def dirichlet_approx(beta, q_max) -> ApproxCertificate:
 
     Returns the deepest convergent with denominator <= q_max; the classical
     inequality |x - p_i/q_i| <= 1/(q_i q_{i+1}) with q_{i+1} > q_max supplies
-    the guarantee, re-verified exactly before returning.
+    the guarantee, re-verified exactly before returning.  When beta = m/D in
+    lowest terms has D <= q_max, that convergent is beta itself, with error
+    0.  Otherwise the expansion runs on Python ints, and the certificate's
+    rational and error are the only Fractions built.
     """
     qm = q_max if isinstance(q_max, Fraction) else Fraction(q_max)
     if qm < 1:
         raise ValueError("q_max must be >= 1")
     b = exact_frequency(beta)
-    best = None
-    for conv in convergents(b):
-        if conv.denominator > qm:
+    num, den = b.numerator, b.denominator
+    if den <= qm:
+        return ApproxCertificate(b, qm, b, Fraction(0))
+    q_lim = math.floor(qm)
+    # convergents p/q of num/den, stopping before the first with q > q_lim
+    # (one comes, since den > q_lim); x/y is the remaining complete quotient
+    p_prev, q_prev = 1, 0
+    p, q = num // den, 1
+    x, y = den, num - p * den
+    while True:
+        a = x // y
+        x, y = y, x - a * y
+        if a * q + q_prev > q_lim:
             break
-        best = conv
-    cert = ApproxCertificate(b, qm, best, abs(b - best))
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    cert = ApproxCertificate(b, qm, Fraction(p, q), Fraction(abs(num * q - p * den), den * q))
     if not cert.verify():
         raise AssertionError(f"Dirichlet guarantee failed: {cert}")  # unreachable
     return cert

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ergodecay import (
     ResourceCapError,
+    WeightedMeasure,
     certify_sup_below,
     convolve,
     fourier_at,
@@ -674,6 +675,76 @@ def test_uniform_on_merges_unsorted_and_colliding_sites(sites):
     got = _uniform_on(sites)
     _assert_bit_identical(got, _from_arrays(sites, np.full(N, 1 / N, dtype=complex)))
     assert np.all(got.sites[1:] > got.sites[:-1])
+    assert got.weights.strides == (16,)  # materialised, not a broadcast view
+
+
+def _materialised(mu):
+    return WeightedMeasure(mu.sites, np.full(mu.n_atoms, 1 / mu.n_atoms, dtype=complex),
+                           mu.total_variation)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 4097, (1 << 16) + 3])
+def test_uniform_on_weights_are_a_read_only_broadcast(N):
+    mu = _uniform_on(np.arange(3, 3 + 2 * N, 2, dtype=np.int64), increasing=True)
+    assert mu.weights.strides == (0,)
+    assert mu.weights.dtype == np.complex128 and mu.weights.shape == (N,)
+    assert np.array(mu.weights).tobytes() == np.full(N, 1 / N, dtype=complex).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        mu.weights[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        mu.weights *= 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 1000, (1 << 16) + 5, (1 << 17) + 1])
+@pytest.mark.parametrize("gaps", [(1,), (1, 2), (2, 3, 7)])
+def test_broadcast_weights_give_the_arrays_of_materialised_ones(N, gaps):
+    # consecutive runs and gaps, across the difference measure's block edges
+    steps = np.resize(np.array(gaps, dtype=np.int64), N)
+    mu = _uniform_on(np.cumsum(steps) - N, increasing=True)
+    ref = _materialised(mu)
+    for G in (4, 4096):
+        assert _fold_mod(mu, G).tobytes() == _fold_mod(ref, G).tobytes()
+    assert _quarter_witness(mu).hex() == _quarter_witness(ref).hex()
+    for got, want in zip(_difference_measure(mu), _difference_measure(ref)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _difference_measure_reference(mu):
+    # the whole-array construction: every weight, then the cancelled ones dropped
+    s, w = mu.sites, np.array(mu.weights)
+    adjacent = s[1:] - s[:-1] == 1
+    head = w.copy()
+    np.subtract(w[1:], w[:-1], out=head[1:], where=adjacent)
+    tail = np.append(~adjacent, True)
+    nonzero = head != 0
+    return np.concatenate([s[nonzero], s[tail] + 1]), np.concatenate([head[nonzero], -w[tail]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_difference_measure_in_blocks_matches_the_whole_array(seed):
+    rng = np.random.default_rng(seed)
+    block = measures._SUBGRID_MIN
+    n = int(rng.integers(2 * block - 3, 3 * block + 3))
+    sites = np.cumsum(rng.choice([1, 1, 1, 2, 9], size=n)) - n
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    weights[rng.random(n) < 0.3] = 0.25  # equal neighbours cancel to exact zeros
+    mu = WeightedMeasure(sites.astype(np.int64), weights, 1.0)
+    for got, want in zip(_difference_measure(mu), _difference_measure_reference(mu)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_difference_measure_of_a_long_uniform_run_stays_small():
+    mu = _uniform_on(np.arange(1 << 22, dtype=np.int64), increasing=True)
+    tracemalloc.start()
+    try:
+        sites, weights = _difference_measure(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sites.tolist() == [0, 1 << 22]
+    assert weights.tolist() == [2.0**-22, -(2.0**-22)]
+    # the whole-array construction peaks at 76 MB here; one block is 2^16 atoms
+    assert peak < 8 << 20, peak
 
 
 # -- convolve -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ergodecay import (
     SelectionStalled,
     SelectionState,
     VerificationError,
+    certify_sup_below,
     make_measure,
     n_of_s,
     parse_family,
@@ -24,7 +27,8 @@ from ergodecay import (
 )
 
 
-from helpers import uniform_dyadic_family
+from ergodecay import selection
+from helpers import uniform_dyadic_family, uniform_zero_based_family
 
 
 def brute_s_of(family, n):
@@ -203,6 +207,71 @@ def test_stall_report_same_with_and_without_residue_counts(family):
     assert fam.residue_counts(2000) is not None
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["rejected"] == 1999
+
+
+def _mixed_family():
+    # every fifth candidate has quarter values 0, so it always reaches a grid:
+    # c_n times uniform on {0..3}, whose functional is exactly c_n / 2
+    base = parse_family("perturbed:power:0.25")
+
+    def measure(n):
+        if n % 5:
+            return base.measure(n)
+        c = 2 * (0.9 - n / 1000)
+        return make_measure((j, c / 4) for j in range(4))
+
+    return MeasureFamily("mixed", measure, base.support_radius)
+
+
+_DEFERRAL_FAMILIES = {
+    **{f: (lambda f=f: parse_family(f)) for f in (
+        "perturbed:power:0.25", "perturbed:log:1", "perturbed:power:3/10",
+        "perturbed:logpow:1.5", "perturbed:power:0.1", "squares",
+        "rotated:quadratic", "rotated:linear",
+    )},
+    "no-residue-counts": lambda: dataclasses.replace(
+        parse_family("perturbed:power:0.25"), _residue_counts=None
+    ),
+    "mixed": _mixed_family,
+    "uniform-zero-based": uniform_zero_based_family,  # stage 3, every candidate on a grid
+}
+
+
+def _stall_report(family, count, cap):
+    with pytest.raises(SelectionStalled) as exc:
+        select_subsequence(family, count, search_cap=cap)
+    return exc.value.report
+
+
+def _grid_on_every_candidate(family, report):
+    # the least lower bound of the stalled stage with no witness shortcut
+    S = dict(islice(selection._cumulative_S(family), report["search_cap"]))
+    last = report["chosen_so_far"][-1]
+    return min(
+        (
+            certify_sup_below(family.measure(n), report["bound"])[1]
+            for n in range(last + 1, report["search_cap"] + 1)
+            if S[n] > S[last]
+        ),
+        default=math.inf,
+    )
+
+
+@pytest.mark.parametrize("name", _DEFERRAL_FAMILIES)
+def test_deferred_grids_give_the_least_lower_bound_of_every_candidate(name, monkeypatch):
+    family = _DEFERRAL_FAMILIES[name]
+    count, cap = (3, 12) if name == "uniform-zero-based" else (3, 400)
+    report = _stall_report(family(), count, cap)
+    assert report["best_sup_lower"] == _grid_on_every_candidate(family(), report)
+    # how many witness rejections are held back changes no field
+    for pending_max in (1, 10**9):
+        monkeypatch.setattr(selection, "_PENDING_MAX", pending_max)
+        assert _stall_report(family(), count, cap) == report
+
+
+def test_select_needs_a_grid_cap_holding_the_quarter_points():
+    with pytest.raises(ValueError, match="grid_cap"):
+        select_subsequence(squares_family(), 2, search_cap=10, grid_cap=3)
 
 
 def test_select_perturbed_small_cap_stalls():

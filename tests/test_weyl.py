@@ -84,6 +84,24 @@ def test_dirichlet_certificates_random():
         assert cert.error * cert.q * cert.q_max <= 1  # exact Fractions
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(-4, 4, allow_nan=False),
+        st.fractions(min_value=-4, max_value=4, max_denominator=10**4),
+    ),
+    st.one_of(st.integers(1, 10**7), st.floats(1, 1e7), st.fractions(1, 10**4)),
+)
+def test_dirichlet_is_the_deepest_convergent_within_q_max(beta, q_max):
+    # the deepest convergent from the Fraction generator, or beta itself with
+    # error 0 when its lowest-terms denominator is within q_max
+    b, qm = exact_frequency(beta), Fraction(q_max)
+    best = [c for c in convergents(b) if c.denominator <= qm][-1]
+    cert = dirichlet_approx(beta, q_max)
+    assert (cert.beta, cert.q_max, cert.rational, cert.error) == (b, qm, best, abs(b - best))
+    assert (cert.error == 0) == (b.denominator <= qm)
+
+
 # -- weyl sums ------------------------------------------------------------------
 
 
