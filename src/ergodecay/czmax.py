@@ -223,7 +223,7 @@ def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
     M = 1 << (S_prev + n)
     if M > size_cap:
         raise ResourceCapError(f"sigma_n support 2^{S_prev + n} exceeds cap {size_cap}")
-    return _uniform_on(np.arange(1, M + 1, dtype=np.int64))
+    return _uniform_on(np.arange(1, M + 1, dtype=np.int64), increasing=True)
 
 
 def sigma_hat_grid(S_prev: int, n: int, m: np.ndarray, G: int) -> np.ndarray:

@@ -124,8 +124,8 @@ class WeightedMeasure:
 
     Instances are immutable; every operation returns a new measure.  The
     arrays may be read-only views: a uniform measure's weights are one
-    complex 1/N broadcast to N entries (``_uniform_on``), which take no
-    memory and raise on any in-place write.
+    complex 1/N viewed with zero stride as N entries (``_uniform_on``),
+    which take no memory and raise on any in-place write.
     """
 
     sites: np.ndarray  # int64, strictly increasing
@@ -225,17 +225,20 @@ def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
     Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
     increasing sites (the families' case) skip its checks: 1/N is nonzero and
     the total variation N*(1/N) rounds the exact sum of the N weights once, so
-    it is the double ``fsum`` returns.  Their weights are the one complex 1/N
-    broadcast to N entries, a read-only view with zero stride, so the measure
-    costs O(1) beyond its sites.  Other sites go through ``_from_arrays`` with
-    materialised weights, which sorts them and merges collisions.  A caller
-    that knows the sites strictly increase passes ``increasing=True`` and
-    skips the O(N) check.
+    it is the double ``fsum`` returns.  Their weights are a read-only
+    one-element array holding 1/N, viewed with zero stride as N entries, so
+    the measure costs O(1) beyond its sites.  Other sites go through
+    ``_from_arrays`` with materialised weights, which sorts them and merges
+    collisions.  A caller that knows the sites strictly increase passes
+    ``increasing=True`` and skips the O(N) check.
     """
     N = len(sites)
     if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
         return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
-    return WeightedMeasure(sites, np.broadcast_to(complex(1.0 / N), (N,)), N * (1.0 / N))
+    one = np.array([1.0 / N], dtype=np.complex128)
+    one.flags.writeable = False
+    weights = np.ndarray((N,), np.complex128, one, strides=(0,))
+    return WeightedMeasure(sites, weights, N * (1.0 / N))
 
 
 def _total_variation(weights: np.ndarray) -> float:
@@ -275,13 +278,22 @@ def fourier_at(mu: WeightedMeasure, gamma) -> complex:
 
 
 def _fold_mod(mu: WeightedMeasure, G: int) -> np.ndarray:
-    """Weights folded onto residues mod G; exact because e(j*m/G) has period G in j."""
-    # for G = 2^k the mask is the mod, negative sites included (two's complement)
-    idx = mu.sites & (G - 1) if G & (G - 1) == 0 else np.mod(mu.sites, G)
-    folded = np.empty(G, dtype=np.complex128)
-    folded.real = np.bincount(idx, weights=mu.weights.real, minlength=G)
-    imag = mu.weights.imag
-    folded.imag = np.bincount(idx, weights=imag, minlength=G) if imag.any() else 0.0
+    """Weights folded onto residues mod G; exact because e(j*m/G) has period G in j.
+
+    The atoms go in blocks of _SUBGRID_MIN, so no n-length temporary is made
+    and zero-stride weights are never copied.  ``np.add.at`` adds each
+    residue's weights in site order, as ``np.bincount`` does: the same bits.
+    """
+    folded = np.zeros(G, dtype=np.complex128)
+    parts = [(folded.real, mu.weights.real)]
+    if mu.weights.imag.any():
+        parts.append((folded.imag, mu.weights.imag))
+    for i0 in range(0, mu.n_atoms, _SUBGRID_MIN):
+        block = mu.sites[i0 : i0 + _SUBGRID_MIN]
+        # for G = 2^k the mask is the mod, negative sites included (two's complement)
+        idx = block & (G - 1) if G & (G - 1) == 0 else np.mod(block, G)
+        for out, w in parts:
+            np.add.at(out, idx, w[i0 : i0 + _SUBGRID_MIN])
     return folded
 
 
@@ -296,13 +308,9 @@ def fourier_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
         raise ValueError("grid size must be >= 2")
     if mu.n_atoms == 0:
         return np.zeros(G, dtype=np.complex128)
-    return _transform_fold(_fold_mod(mu, G))
-
-
-def _transform_fold(folded: np.ndarray) -> np.ndarray:
-    """mu_hat on the grid m/G from mu's fold mod G = len(folded), in place."""
+    folded = _fold_mod(mu, G)
     vals = np.fft.ifft(folded, out=folded)  # in place: no second G-point array
-    vals *= len(folded)
+    vals *= G
     return vals
 
 
@@ -317,12 +325,9 @@ _ONE_MINUS_E_COARSE = _one_minus_e(_COARSE_GRID)
 _ONE_MINUS_E_COARSE.flags.writeable = False
 
 
-def _triviality_on_grid(
-    mu: WeightedMeasure, G: int, folded: np.ndarray | None = None
-) -> np.ndarray:
-    """|(1 - e) mu_hat| at the G points m/G; ``folded``, when given, is mu's
-    fold mod G, which the transform overwrites."""
-    vals = fourier_grid(mu, G) if folded is None else _transform_fold(folded)
+def _triviality_on_grid(mu: WeightedMeasure, G: int) -> np.ndarray:
+    """|(1 - e) mu_hat| at the G points m/G."""
+    vals = fourier_grid(mu, G)
     factor = _ONE_MINUS_E_COARSE if G == _COARSE_GRID else _one_minus_e(G)
     np.multiply(factor, vals, out=vals)
     return np.abs(vals)
@@ -421,17 +426,12 @@ def _subgrid_max(sites: np.ndarray, weights: np.ndarray, G: int, factor=None) ->
     return best
 
 
-def _triviality_max(
-    mu: WeightedMeasure, G: int, coarse_fold: np.ndarray | None = None
-) -> float:
+def _triviality_max(mu: WeightedMeasure, G: int) -> float:
     """max over the G-point grid of |(1 - e) mu_hat|: the whole grid up to
-    _SUBGRID_MIN points, sub-grids of the difference measure above.
-    ``coarse_fold``, when given, is mu's fold mod _COARSE_GRID; the coarse
-    grid consumes it (``_refine`` evaluates each grid size once)."""
+    _SUBGRID_MIN points, sub-grids of the difference measure above."""
     if G > _SUBGRID_MIN:
         return _subgrid_max(*_difference_measure(mu), G)
-    folded = coarse_fold if G == _COARSE_GRID else None
-    return float(np.max(_triviality_on_grid(mu, G, folded)))
+    return float(np.max(_triviality_on_grid(mu, G)))
 
 
 def _degree_and_lipschitz(mu: WeightedMeasure) -> tuple[int, float]:
@@ -567,37 +567,27 @@ def triviality_sup(
     )
 
 
-def _quarter_witness(mu: WeightedMeasure, fold: np.ndarray | None = None) -> float:
-    """Certified lower bound on max_{a=1,2,3} |T(a/4)|, T = (1 - e) mu_hat.
+def _quarter_witness(mu: WeightedMeasure, counts: np.ndarray) -> float:
+    """Certified lower bound on max_{a=1,2,3} |T(a/4)|, T = (1 - e) mu_hat,
+    for mu uniform on n distinct sites, c_r = ``counts[r]`` of them = r mod 4.
 
-    With W_r the weight on sites = r mod 4 (the fold mod 4),
-    T(a/4) = (1 - i^a) sum_r W_r i^(ar).  The powers of i only swap and
-    negate, so the roundoff is that of the ``bincount`` sums, at most
-    gamma_n * sum(|Re w| + |Im w|) <= sqrt(2) gamma_n TV, and of a few
-    operations on sums bounded by 2 TV.  The slack 4 gamma_(n+8) TV covers
-    both and the rounding of the subtraction.  The 2*_FP_SLACK on top keeps
-    the witness at or below the coarse-grid lower bound, whose grid holds the
-    points a/4, whenever that grid's FFT roundoff stays below _FP_SLACK (the
-    premise of the grid lower bound itself).
-
-    ``fold`` may instead be mu's fold mod a multiple of 4 (the coarse grid's):
-    W_r is then the sum of its len(fold)/4 bins = r mod 4, each weight passes
-    through at most len(fold)/4 - 1 more additions, and the slack takes
-    gamma_(n+7+len(fold)/4) in place of gamma_(n+8).  For mu uniform on n
-    atoms, c_r of them on sites = r mod 4, a 4-bin ``fold`` of c_r/n gives
-    the witness in O(1): each W_r rounds once and lies within (2u + u^2)|W_r|
-    of the exact sum c_r fl(1/n) of the stored weights, no more than the
-    gamma_n |W_r| a ``bincount`` sum may miss it by (for n >= 2; at n = 1 the
-    weight is exact), so the same slack covers it.
+    With W_r = c_r / n, T(a/4) = (1 - i^a) sum_r W_r i^(ar), in O(1).  Each
+    W_r rounds once and lies within (2u + u^2) |W_r| of the exact sum
+    c_r fl(1/n) of the stored weights, no more than gamma_n |W_r| for n >= 2
+    (at n = 1 the weight is exact).  The powers of i only swap and negate,
+    and the few operations after them act on sums bounded by 2 TV, so the
+    slack 4 gamma_(n+8) TV covers the roundoff and the rounding of the
+    subtraction.  The 2*_FP_SLACK on top keeps the witness at or below the
+    coarse-grid lower bound, whose grid holds the points a/4, whenever that
+    grid's FFT roundoff stays below _FP_SLACK (the premise of the grid lower
+    bound itself).
     """
-    if fold is None:
-        fold = _fold_mod(mu, 4)
-    w0, w1, w2, w3 = fold.reshape(-1, 4).sum(axis=0).tolist()
+    w0, w1, w2, w3 = (counts / mu.n_atoms).tolist()
     even, odd = w0 - w2, w1 - w3  # sum_r W_r i^(ar) = even + i^a odd for odd a
     t1 = (1 - 1j) * (even + 1j * odd)
     t2 = 2 * ((w0 + w2) - (w1 + w3))
     t3 = (1 + 1j) * (even - 1j * odd)
-    m = mu.n_atoms + 7 + len(fold) // 4
+    m = mu.n_atoms + 8
     gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
     slack = 4.0 * gamma * mu.total_variation + 2 * _FP_SLACK
     return max(abs(t1), abs(t2), abs(t3)) - slack
@@ -607,7 +597,6 @@ def certify_sup_below(
     mu: WeightedMeasure,
     threshold: float,
     grid_cap: int = DEFAULT_GRID_CAP,
-    skip_above: float = math.inf,
     residue_counts: np.ndarray | None = None,
 ) -> tuple[bool | None, float, float, int]:
     """Decide whether the triviality functional is provably <= threshold.
@@ -618,37 +607,22 @@ def certify_sup_below(
     quarter-frequency witness.  ``upper`` is the smallest rigorous upper bound
     reached, and inf on a witness rejection.
 
-    With a finite ``skip_above``, the witness at gamma = 1/4, 1/2, 3/4 is
-    computed first, from four residue sums; when it exceeds both the threshold
-    and ``skip_above``, the call returns (False, witness, inf, 0) without
-    evaluating any grid.  Such a rejection is the verdict the grids would
-    reach, and the witness is no larger than the coarse-grid lower bound
-    (see ``_quarter_witness``) that ``_coarse_lower`` gives.  A selection
-    scan passes the threshold itself, so every witness above it rejects, and
-    runs ``_coarse_lower`` later on the few rejections that can lower its
-    reported minimum.
-
     ``residue_counts``, when given, are the exact counts c_r of mu's atoms on
     sites = r mod 4 (r = 0..3) for mu uniform on its atoms, as a family's
-    ``residue_counts`` serves them.  The witness then takes W_r = c_r / n_atoms
-    and reads no atom, so a witness rejection costs O(1); the coarse grid, if
-    it runs, folds the atoms itself.  Without counts, measures of
-    _SUBGRID_MIN atoms or more take the witness from their fold mod
-    _COARSE_GRID, which the coarse grid then reuses: one pass over the atoms
-    instead of two.
+    ``residue_counts`` serves them.  The witness at gamma = 1/4, 1/2, 3/4 is
+    then computed first, in O(1) and without reading an atom; when it
+    exceeds the threshold, the call returns (False, witness, inf, 0) without
+    evaluating any grid.  Such a rejection is the verdict the grids would
+    reach, and the witness is no larger than the coarse-grid lower bound
+    (see ``_quarter_witness``) that ``_coarse_lower`` gives, which a
+    selection scan runs later on the few rejections that can lower its
+    reported minimum.  Without counts the grids decide alone.
     """
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
-    coarse_fold = None
-    if skip_above < math.inf:
-        if residue_counts is not None:
-            fold = residue_counts / mu.n_atoms
-        elif mu.n_atoms >= _SUBGRID_MIN:
-            fold = coarse_fold = _fold_mod(mu, _COARSE_GRID)
-        else:
-            fold = None
-        witness = _quarter_witness(mu, fold)
-        if witness > threshold and witness > skip_above:
+    if residue_counts is not None:
+        witness = _quarter_witness(mu, residue_counts)
+        if witness > threshold:
             return False, witness, math.inf, 0
 
     def next_width(lower, upper):
@@ -660,7 +634,7 @@ def certify_sup_below(
 
     degree, lip = _degree_and_lipschitz(mu)
     lower, upper, G, _ = _refine(
-        lambda G: _triviality_max(mu, G, coarse_fold), degree, lip, grid_cap, next_width
+        lambda G: _triviality_max(mu, G), degree, lip, grid_cap, next_width
     )
     verdict = False if lower > threshold else True if upper <= threshold else None
     return verdict, lower, upper, G

@@ -138,11 +138,10 @@ def select_subsequence(
     smallest certified lower bound seen at that stage.
 
     Each candidate gets one ``family.measure`` and one ``certify_sup_below``
-    call with the stage bound as ``skip_above``, so a candidate whose
-    quarter-frequency witness exceeds the bound is rejected without a grid;
-    no admissible candidate is skipped (witness <= sup <= bound).  The
-    witness comes from the family's ``residue_counts`` when it keeps them,
-    in O(1) per candidate, and otherwise from a fold of the candidate's atoms.
+    call with the family's ``residue_counts``, so a candidate whose
+    quarter-frequency witness exceeds the bound is rejected without a grid,
+    in O(1); no admissible candidate is skipped (witness <= sup <= bound).
+    Families without counts get no witness: every candidate reaches a grid.
 
     The report's ``best_sup_lower`` is the least coarse-grid lower bound over
     the stage's candidates, as a grid on every candidate gives it, bit for
@@ -189,8 +188,7 @@ def select_subsequence(
                 continue
             mu = family.measure(n)
             verdict, lower, upper, grid = certify_sup_below(
-                mu, bound, grid_cap=grid_cap, skip_above=bound,
-                residue_counts=family.residue_counts(n),
+                mu, bound, grid_cap=grid_cap, residue_counts=family.residue_counts(n)
             )
             if verdict is True:
                 accepted = (n, S_n, upper)

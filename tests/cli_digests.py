@@ -5,7 +5,8 @@ Usage::
     PYTHONPATH=src python tests/cli_digests.py ['<command line>' ...]
 
 Runs every command of ``helpers.CLI_COMMANDS``, then the CLI commands of the
-benchmark workloads (``BENCH_COMMANDS``), then each extra command line given
+benchmark workloads (``BENCH_COMMANDS``), then the stalled scans of
+``STALL_COMMANDS``, then each extra command line given
 as an argument (shell-quoted, without ``--out``), once each in a fresh
 interpreter.  Prints one line per command: its name, exit code, and the
 sha256 of its data file and of its stderr.  Run it against two trees and
@@ -58,6 +59,14 @@ BENCH_COMMANDS = {
     ],
 }
 
+# Selection scans that stall at stage 2 (exit 3) on families other than the
+# benchmark's: the rotated families keep no residue counts, so every candidate
+# reaches a grid; squares rejects every candidate from its counts.
+STALL_COMMANDS = {
+    f"stall-{fam}": ["select", "--family", fam, "--k", "3", "--cap", "2000"]
+    for fam in ("rotated:quadratic", "rotated:linear", "squares")
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -80,7 +89,7 @@ def digest(argv: list[str]) -> str:
 
 
 def main(extra: list[str]) -> None:
-    commands = {**CLI_COMMANDS, **BENCH_COMMANDS}
+    commands = {**CLI_COMMANDS, **BENCH_COMMANDS, **STALL_COMMANDS}
     commands.update((text, shlex.split(text)) for text in extra)
     for name, argv in commands.items():
         print(f"{name}: {digest(argv)}", flush=True)

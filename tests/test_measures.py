@@ -228,11 +228,20 @@ def reference_fold(mu, G):
     return re + 1j * im
 
 
+def _three_fold_blocks():
+    # more than two blocks of _SUBGRID_MIN atoms, negative sites, complex weights
+    rng = np.random.default_rng(3)
+    n = 2 * measures._SUBGRID_MIN + 1234
+    sites = np.cumsum(rng.integers(1, 40, size=n)) - 20 * n
+    return _from_arrays(sites, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 FOLD_CASES = [
     make_measure([(-9, 0.5), (-4096, 0.25), (4095, -1.0), (3, 2.0), (-1, 0.125)]),  # real weights
     make_measure([(-9, 0.5 - 2j), (-4096, 1j), (4095, -1.0), (3, -0.5 + 0.25j)]),  # complex
     squares_measure(300),
     rotated_squares_measure(300),
+    _three_fold_blocks(),
 ]
 
 
@@ -245,6 +254,19 @@ def test_fold_and_grids_bit_identical_to_reference(G):
         assert fourier_grid(mu, G).tobytes() == grid.tobytes(), G
         factor = 1.0 - np.exp((2j * math.pi) * (np.arange(G) / G))
         assert _triviality_on_grid(mu, G).tobytes() == np.abs(factor * grid).tobytes(), G
+
+
+def test_fold_of_a_long_uniform_run_stays_small():
+    mu = _uniform_on(np.arange(1 << 22, dtype=np.int64), increasing=True)
+    tracemalloc.start()
+    try:
+        fold = _fold_mod(mu, measures._COARSE_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fold.tobytes() == reference_fold(mu, measures._COARSE_GRID).tobytes()
+    # a whole-array fold makes a 32 MB index array and a 32 MB weight copy here
+    assert peak < 8 << 20, peak
 
 
 # -- sub-grids of the difference measure (grids above _SUBGRID_MIN) ------------
@@ -462,11 +484,11 @@ def grids_evaluated(monkeypatch):
     grids = []
     evaluate = measures._triviality_max
 
-    def recording(mu, G, *rest):
+    def recording(mu, G):
         grids.append(G)
         if len(grids) > 32:
             raise AssertionError(f"refinement does not terminate: {grids}")
-        return evaluate(mu, G, *rest)
+        return evaluate(mu, G)
 
     monkeypatch.setattr(measures, "_triviality_max", recording)
     return grids
@@ -548,75 +570,32 @@ def _exact_quarter_max_sq(mu):
     return best
 
 
-@st.composite
-def _cancelling_measures(draw):
-    """Groups of three atoms on one residue class mod 4: +big, a small
-    complex weight and -big, in random site order, so that the float residue
-    sums lose the small weight to rounding; total variation up to 1e9."""
-    groups = draw(st.integers(1, 8))
-    atoms = []
-    for _ in range(groups):
-        big = draw(st.floats(0.0, 1e9 / (2 * groups))) * draw(
-            st.sampled_from([1, -1, 1j, -1j, (1 + 1j) / math.sqrt(2)])
-        )
-        small = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
-        base = draw(st.integers(-(1 << 40), (1 << 40) - (1 << 39)))
-        offsets = draw(st.lists(st.integers(0, 1 << 37), min_size=3, max_size=3))
-        for k, w in zip(offsets, (big, small, -big)):
-            atoms.append((base + 4 * k, w))
-    return make_measure(atoms)
+def _residue_counts(mu):
+    return np.bincount(mu.sites & 3, minlength=4)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_cancelling_measures())
-@example(make_measure([(0, 5e8), (4, 0.003), (8, -5e8)]))  # 5e8 + 0.003 rounds up
-def test_quarter_witness_is_below_exact_quarter_values(mu):
-    witness = _quarter_witness(mu)
+@given(st.sets(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=64))
+@example({0, 4, 8})  # one residue class: |T(1/2)| = 2, the largest possible
+@example({-7, 2})  # |T(a/4)| = 1 at a = 1, 3 and 0 at a = 2
+def test_quarter_witness_is_below_exact_quarter_values(sites):
+    mu = _uniform_on(np.array(sorted(sites), dtype=np.int64), increasing=True)
+    witness = _quarter_witness(mu, _residue_counts(mu))
     assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_cancelling_measures())
-@example(make_measure([(0, 5e8), (4, 0.003), (8, -5e8)]))
-def test_quarter_witness_from_coarse_fold_is_below_exact_quarter_values(mu):
-    witness = _quarter_witness(mu, _fold_mod(mu, measures._COARSE_GRID))
-    assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
-
-
-def test_certify_sup_below_reuses_the_witness_fold_bit_for_bit(grids_evaluated):
-    # 2^17 atoms: the witness comes from the coarse fold, and the coarse grid
-    # reuses it; the quarter values are 0, so the witness never rejects
-    mu = _uniform_on(np.arange(1, (1 << 17) + 1))
-    plain = certify_sup_below(mu, 2.0**-15)
-    assert plain[0] is True and plain[3] == 1 << 19
-    assert certify_sup_below(mu, 2.0**-15, skip_above=1.0) == plain
-    assert grids_evaluated == [4096, 1 << 19] * 2
-
-
-@pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "rotated:quadratic"])
-def test_quarter_witness_below_coarse_grid_lower_bound(family):
-    # gamma = 1/4, 1/2, 3/4 lie on the coarse grid, so a witness rejection
-    # reports no more than the grid lower bound the candidate would have had
-    fam = parse_family(family)
-    for n in range(1, 2001):
-        mu = fam.measure(n)
-        grid_lower = float(np.max(_triviality_on_grid(mu, measures._COARSE_GRID))) - _FP_SLACK
-        assert _quarter_witness(mu) <= grid_lower, n
 
 
 @pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "perturbed:log:1"])
 def test_quarter_witness_from_residue_counts(family):
-    # W_r = c_r/n rounds once: within the witness's own slack of the
-    # bincount-based witness, and at or below the coarse-grid lower bound
+    # the family's counts are the residue counts of mu_n's sites, and
+    # gamma = 1/4, 1/2, 3/4 lie on the coarse grid, so a witness rejection
+    # reports no more than the grid lower bound the candidate would have had
     fam = parse_family(family)
-    for n in [*range(1, 40), *range(40, 5000, 97), 1024, 1025, 4096]:
+    for n in [*range(1, 2001), *range(2001, 5000, 97), 4096]:
         mu = fam.measure(n)
-        counted = _quarter_witness(mu, fam.residue_counts(n) / n)
-        m = n + 8
-        slack = 4.0 * m * 2.0**-53 / (1.0 - m * 2.0**-53) * mu.total_variation
-        assert abs(counted - _quarter_witness(mu)) <= slack, n
+        counts = fam.residue_counts(n)
+        assert counts.tolist() == _residue_counts(mu).tolist(), n
         grid_lower = float(np.max(_triviality_on_grid(mu, measures._COARSE_GRID))) - _FP_SLACK
-        assert counted <= grid_lower, n
+        assert _quarter_witness(mu, counts) <= grid_lower, n
 
 
 def test_certify_sup_below_with_residue_counts_reads_no_atom(monkeypatch):
@@ -626,29 +605,29 @@ def test_certify_sup_below_with_residue_counts_reads_no_atom(monkeypatch):
     fam = parse_family("squares")
     n = 1 << 17
     mu, counts = fam.measure(n), fam.residue_counts(n)
-    plain = certify_sup_below(mu, 0.01)
+    witness = _quarter_witness(mu, counts)
+    plain = certify_sup_below(mu, witness)
     folds = []
     real_fold = measures._fold_mod
     monkeypatch.setattr(measures, "_fold_mod", lambda mu, G: folds.append(G) or real_fold(mu, G))
-    witness = _quarter_witness(mu, counts / n)
-    assert plain[0] is False and 0.01 < witness <= plain[1]
-    assert certify_sup_below(mu, 0.01, skip_above=0.0, residue_counts=counts) == (
-        False, witness, math.inf, 0,
-    )
+    assert 0.01 < witness <= plain[1]
+    assert certify_sup_below(mu, 0.01, residue_counts=counts) == (False, witness, math.inf, 0)
     assert folds == []
-    assert certify_sup_below(mu, 0.01, skip_above=witness, residue_counts=counts) == plain
+    assert certify_sup_below(mu, witness, residue_counts=counts) == plain
     assert folds == [measures._COARSE_GRID]
 
 
-def test_certify_sup_below_witness_rejection():
-    mu = squares_measure(100)  # squares sit on residues 0 and 1 mod 4: |T(1/4)| is 1
+def test_certify_sup_below_witness_rejection(grids_evaluated):
+    # squares sit on residues 0 and 1 mod 4: |T(1/4)| is 1
+    mu, counts = squares_measure(100), parse_family("squares").residue_counts(100)
+    witness = _quarter_witness(mu, counts)
     grid = certify_sup_below(mu, 0.01)
-    witness = _quarter_witness(mu)
     assert grid[0] is False and 0.01 < witness <= grid[1]
-    # rejected from the witness only when it exceeds both threshold and skip_above
-    assert certify_sup_below(mu, 0.01, skip_above=witness / 2) == (False, witness, math.inf, 0)
-    assert certify_sup_below(mu, 0.01, skip_above=witness) == grid
-    assert certify_sup_below(mu, witness, skip_above=0.0) == certify_sup_below(mu, witness)
+    assert grids_evaluated == [measures._COARSE_GRID]
+    # rejected from the counts only when the witness exceeds the threshold
+    assert certify_sup_below(mu, 0.01, residue_counts=counts) == (False, witness, math.inf, 0)
+    assert grids_evaluated == [measures._COARSE_GRID]
+    assert certify_sup_below(mu, witness, residue_counts=counts) == certify_sup_below(mu, witness)
 
 
 # -- _uniform_on ---------------------------------------------------------------
@@ -704,7 +683,6 @@ def test_broadcast_weights_give_the_arrays_of_materialised_ones(N, gaps):
     ref = _materialised(mu)
     for G in (4, 4096):
         assert _fold_mod(mu, G).tobytes() == _fold_mod(ref, G).tobytes()
-    assert _quarter_witness(mu).hex() == _quarter_witness(ref).hex()
     for got, want in zip(_difference_measure(mu), _difference_measure(ref)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
