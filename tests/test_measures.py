@@ -584,18 +584,27 @@ def test_quarter_witness_is_below_exact_quarter_values(sites):
     assert witness <= 0 or Fraction(witness) ** 2 <= _exact_quarter_max_sq(mu)
 
 
-@pytest.mark.parametrize("family", ["squares", "perturbed:power:1/4", "perturbed:log:1"])
+_COUNTED_FAMILIES = ["squares", "perturbed:power:1/4", "perturbed:log:1"]
+_COUNTED_NS = [*range(1, 2001), *range(2001, 5000, 97), 4096]
+
+
+@pytest.mark.parametrize("family", _COUNTED_FAMILIES)
 def test_quarter_witness_from_residue_counts(family):
-    # the family's counts are the residue counts of mu_n's sites, and
+    # the family's counts are the residue counts of mu_n's sites
+    fam = parse_family(family)
+    for n in _COUNTED_NS:
+        assert fam.residue_counts(n).tolist() == _residue_counts(fam.measure(n)).tolist(), n
+
+
+@pytest.mark.parametrize("family", _COUNTED_FAMILIES)
+def test_quarter_witness_below_coarse_grid_lower_bound(family):
     # gamma = 1/4, 1/2, 3/4 lie on the coarse grid, so a witness rejection
     # reports no more than the grid lower bound the candidate would have had
     fam = parse_family(family)
-    for n in [*range(1, 2001), *range(2001, 5000, 97), 4096]:
+    for n in _COUNTED_NS:
         mu = fam.measure(n)
-        counts = fam.residue_counts(n)
-        assert counts.tolist() == _residue_counts(mu).tolist(), n
         grid_lower = float(np.max(_triviality_on_grid(mu, measures._COARSE_GRID))) - _FP_SLACK
-        assert _quarter_witness(mu, counts) <= grid_lower, n
+        assert _quarter_witness(mu, fam.residue_counts(n)) <= grid_lower, n
 
 
 def test_certify_sup_below_with_residue_counts_reads_no_atom(monkeypatch):
