@@ -64,20 +64,15 @@ from .measures import (
     fourier_at,
     fourier_grid,
     make_measure,
-    measure_from_json,
-    measure_to_json,
     modulate,
     point_mass,
     triviality_sup,
 )
 from .selection import (
     SelectionState,
-    n_of_s,
-    s_of,
     select_subsequence,
     selection_from_json,
     selection_to_json,
-    tail_split,
     verify_selection,
 )
 from .threshold import (
@@ -87,9 +82,7 @@ from .threshold import (
     block_structure,
     block_sum,
     cesaro_expos,
-    lambda_q_size,
     major_arc_audit,
-    phi_of,
     quadratic_residues,
     residue_density,
     transform_bound_audit,
@@ -101,8 +94,6 @@ from .weyl import (
     dirichlet_approx,
     exact_frequency,
     gauss_sum,
-    qn_escape_trace,
-    smallest_denominator,
     weyl_bound_audit,
     weyl_sum,
 )

@@ -121,9 +121,7 @@ def cmd_triviality(args) -> int:
 
 def cmd_select(args) -> int:
     family = parse_family(args.family)
-    state = select_subsequence(
-        family, args.k, search_cap=args.cap, sup_tol=args.sup_tol
-    )
+    state = select_subsequence(family, args.k, search_cap=args.cap)
     verify_selection(family, state)
     _write_json(args.out, state.to_dict())
     print(f"select: {family.descriptor} chose {state.chosen}")
@@ -131,6 +129,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_cz_check(args) -> int:
+    if min(args.count, args.lambdas) < 1:
+        raise ConfigError(f"--count and --lambdas must be >= 1, got {args.count}, {args.lambdas}")
     rng = np.random.default_rng(args.seed)
     reports = []
     worst = 0.0
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--cap", type=int, required=True)
-    p.add_argument("--sup-tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(func=cmd_select)
 

@@ -6,6 +6,10 @@ Families:
   rotated:linear           (1/n) sum delta_{k^2} e(n^{-1/2} k)
   perturbed:<rho>          (1/N) sum delta_{k^2 + floor(rho(k))}
 
+squares is the rho = 0 case of perturbed: both families read mu_n off one
+growing array of sites and its prefix residue counts mod 4 (_prefix_family).
+Squares takes plain k^2 there, never an exact floor.
+
 The rho menu is a closed enum (power, scaled log, powered log, constant) so
 that derivatives and inverses are exact formulas and floor(rho(x)) can be
 computed exactly.  Every scalar floor goes through RhoSpec.floor_at_sqrt:
@@ -319,16 +323,6 @@ class MeasureFamily:
         return None if self._residue_counts is None else self._residue_counts(n)
 
 
-def squares_family() -> MeasureFamily:
-    # k^2 = 0 mod 4 for even k and 1 mod 4 for odd k
-    return MeasureFamily(
-        "squares",
-        squares_measure,
-        lambda n: n * n,
-        lambda n: np.array([n // 2, n - n // 2, 0, 0], dtype=np.int64),
-    )
-
-
 def rotated_family(variant: str = "quadratic") -> MeasureFamily:
     return MeasureFamily(
         f"rotated:{variant}",
@@ -337,17 +331,18 @@ def rotated_family(variant: str = "quadratic") -> MeasureFamily:
     )
 
 
-def perturbed_family(rho: RhoSpec) -> MeasureFamily:
-    """mu_n = perturbed_squares_measure(rho, n), read off one site array that
-    grows by doubling, so a scan over n computes each floor once.
+def _prefix_family(descriptor: str, sites_between) -> MeasureFamily:
+    """mu_n uniform on the first n sites, read off one site array that grows
+    by doubling, so a scan over n computes each site once.
 
-    Each growth block also checks once that the sites still strictly increase
-    (they do for every rho of the menu, which is nondecreasing) and extends
-    the prefix counts: row n of ``counts`` holds c_r(n), the number of the
-    first n sites = r mod 4.  While the sites increase, mu_n is uniform on n
-    distinct sites: it skips ``_uniform_on``'s check, and ``residue_counts``
-    serves row n.  Otherwise measures go through that check, which merges
-    collisions, and the family has no counts.
+    ``sites_between(lo, hi)`` returns the sites of k = lo, ..., hi - 1.  Each
+    growth block also checks once that the sites still strictly increase
+    (they do for squares and for every rho of the menu, which is
+    nondecreasing) and extends the prefix counts: row n of ``counts`` holds
+    c_r(n), the number of the first n sites = r mod 4.  While the sites
+    increase, mu_n is uniform on n distinct sites: it skips ``_uniform_on``'s
+    check, and ``residue_counts`` serves row n.  Otherwise measures go through
+    that check, which merges collisions, and the family has no counts.
     """
     sites = np.empty(0, dtype=np.int64)
     counts = np.zeros((1, 4), dtype=np.int64)
@@ -359,7 +354,7 @@ def perturbed_family(rho: RhoSpec) -> MeasureFamily:
             raise ValueError("N must be >= 1")
         if n > len(sites):
             size = max(n, 2 * len(sites), _FIRST_BLOCK)
-            block = _perturbed_sites(rho, len(sites) + 1, size + 1)
+            block = sites_between(len(sites) + 1, size + 1)
             increasing = increasing and bool(
                 np.all(np.diff(np.concatenate([sites[-1:], block])) > 0)
             )
@@ -379,12 +374,22 @@ def perturbed_family(rho: RhoSpec) -> MeasureFamily:
         prefix(n)
         return counts[n] if increasing else None
 
-    # sites k^2 + floor(rho(k)) are increasing in k, so the radius is the last site
-    return MeasureFamily(
-        f"perturbed:{rho.descriptor()}",
-        measure,
-        lambda n: prefix(n)[-1],
-        residue_counts,
+    # sites k^2 and k^2 + floor(rho(k)) are increasing in k, so the radius is
+    # the last site
+    return MeasureFamily(descriptor, measure, lambda n: prefix(n)[-1], residue_counts)
+
+
+def squares_family() -> MeasureFamily:
+    """mu_n = squares_measure(n): the rho = 0 case of ``perturbed_family``,
+    with plain k^2 in place of exact floors."""
+    return _prefix_family("squares", lambda lo, hi: np.arange(lo, hi, dtype=np.int64) ** 2)
+
+
+def perturbed_family(rho: RhoSpec) -> MeasureFamily:
+    """mu_n = perturbed_squares_measure(rho, n), each floor computed once."""
+    # _perturbed_sites is looked up at call time, so a patched binding applies
+    return _prefix_family(
+        f"perturbed:{rho.descriptor()}", lambda lo, hi: _perturbed_sites(rho, lo, hi)
     )
 
 

@@ -33,7 +33,6 @@ evaluates smaller grids whole (fold, inverse FFT, the 1 - e table).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +72,6 @@ __all__ = [
     "certify_sup_below",
     "convolve",
     "modulate",
-    "measure_to_json",
-    "measure_from_json",
 ]
 
 
@@ -658,15 +655,3 @@ def modulate(mu: WeightedMeasure, theta: float) -> WeightedMeasure:
         return mu
     weights = mu.weights * _unit_phases(mu.sites, float(theta) % 1.0)
     return WeightedMeasure(mu.sites.copy(), weights, mu.total_variation)
-
-
-def measure_to_json(mu: WeightedMeasure) -> str:
-    triples = [
-        [int(s), float(w.real), float(w.imag)] for s, w in zip(mu.sites, mu.weights)
-    ]
-    return json.dumps(triples)
-
-
-def measure_from_json(text: str) -> WeightedMeasure:
-    triples = json.loads(text)
-    return make_measure([(int(s), complex(re, im)) for s, re, im in triples])

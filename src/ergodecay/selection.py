@@ -20,25 +20,21 @@ negative-result diagnostic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import count, islice
 
-from .errors import ResourceCapError, SelectionStalled, VerificationError
+from .errors import SelectionStalled, VerificationError
 from .families import MeasureFamily
 from .measures import (
     DEFAULT_GRID_CAP,
-    WeightedMeasure,
     _coarse_lower,
-    _from_arrays,
     certify_sup_below,
     triviality_sup,
 )
 
 __all__ = [
     "SelectionState",
-    "s_of",
-    "n_of_s",
-    "tail_split",
     "select_subsequence",
     "verify_selection",
     "selection_to_json",
@@ -59,40 +55,15 @@ def _cumulative_S(family: MeasureFamily):
         yield n, _exponent_for(radius)
 
 
-def s_of(family: MeasureFamily, n: int) -> int:
-    """S(n): minimal s with supp mu_m inside [-2^s, 2^s] for every m <= n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return next(islice(_cumulative_S(family), n - 1, None))[1]
-
-
-def n_of_s(family: MeasureFamily, s: int, search_cap: int = 10**6) -> int:
-    """N(s): minimal n with S(n) > s."""
-    for n, S_n in islice(_cumulative_S(family), search_cap):
-        if S_n > s:
-            return n
-    raise ResourceCapError(
-        f"n_of_s: no n <= {search_cap} with S(n) > {s}; family supports may be bounded"
-    )
-
-
 # Witness rejections held back before their coarse grids are settled
 _PENDING_MAX = 32
+# Tolerance of the first stage's bracket, which only the report shows
+_FIRST_STAGE_TOL = 1e-6
 
 
 def _stage_bound(S_prev: int, k: int) -> float:
     """The stage-k bound 2^(-2 S(n_{k-1}) - 2k) of the selection inequality."""
     return 2.0 ** (-2 * S_prev - 2 * k)
-
-
-def tail_split(
-    mu: WeightedMeasure, radius: int
-) -> tuple[WeightedMeasure, WeightedMeasure]:
-    """Split mu into (compact, tail): atoms inside [-radius, radius] and the rest."""
-    inside = (mu.sites >= -radius) & (mu.sites <= radius)
-    compact = _from_arrays(mu.sites[inside], mu.weights[inside])
-    tail = _from_arrays(mu.sites[~inside], mu.weights[~inside])
-    return compact, tail
 
 
 @dataclass(frozen=True)
@@ -128,7 +99,6 @@ def select_subsequence(
     family: MeasureFamily,
     count: int,
     search_cap: int,
-    sup_tol: float = 1e-6,
     grid_cap: int = DEFAULT_GRID_CAP,
 ) -> SelectionState:
     """Greedy smallest-admissible selection of ``count`` indices.
@@ -151,10 +121,13 @@ def select_subsequence(
     and before a stall is reported, they are settled: in witness order, each
     gets the coarse grid while its witness is below the least grid value, and
     the rest are dropped.  That is exact because the coarse grid holds 1/4,
-    1/2 and 3/4, so no grid value is below its witness.
+    1/2 and 3/4, so no grid value is below its witness.  When the stage
+    examined no candidate, ``best_sup_lower`` is None (JSON null).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if search_cap < 1:
+        raise ValueError(f"search_cap must be >= 1, got {search_cap}")
     if grid_cap < 4:
         raise ValueError(f"grid_cap must be >= 4 to hold the quarter points, got {grid_cap}")
     chosen: list[int] = []
@@ -169,7 +142,7 @@ def select_subsequence(
             # the first step is unconstrained; bound column is informational
             n, S_n = next(S_seq)
             mu = family.measure(n)
-            bracket = triviality_sup(mu, max(sup_tol, 1e-9), grid_cap=grid_cap)
+            bracket = triviality_sup(mu, _FIRST_STAGE_TOL, grid_cap=grid_cap)
             chosen.append(n)
             S_values.append(S_n)
             achieved.append(bracket.upper)
@@ -209,7 +182,7 @@ def select_subsequence(
                 "family": family.descriptor,
                 "stage": k,
                 "bound": bound,
-                "best_sup_lower": best_lower,
+                "best_sup_lower": best_lower if best_lower < math.inf else None,
                 "rejected": n_rejected,
                 "uncertifiable": n_uncertifiable,
                 "skipped_support": n_skipped_S,

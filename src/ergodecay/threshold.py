@@ -25,7 +25,6 @@ from .weyl import dirichlet_approx, gauss_sum
 __all__ = [
     "BlockStructure",
     "block_structure",
-    "phi_of",
     "block_sum",
     "block_sqrt_sum",
     "vj_sum",
@@ -35,7 +34,6 @@ __all__ = [
     "ResidueProfile",
     "residue_density",
     "quadratic_residues",
-    "lambda_q_size",
 ]
 
 
@@ -99,14 +97,6 @@ def block_structure(rho: RhoSpec, j: int, horizon: int | None = None) -> BlockSt
         k_hi = min(k_hi, horizon)
     count = max(0, k_hi - k_lo + 1)
     return BlockStructure(j, lo, hi, hi - lo, k_lo, k_hi, count)
-
-
-def phi_of(rho: RhoSpec, j: int) -> float:
-    """(rho^{-1}(j))^2: the squared block endpoint in the l-coordinate."""
-    if rho.kind == "constant":
-        raise ValueError("constant rho has no inverse")
-    _check_j_range(rho, j, None)
-    return rho.inverse(j) ** 2
 
 
 _CHUNK = 1 << 20
@@ -310,19 +300,6 @@ def _odd_squarefree_primes(Q: int) -> list[int]:
 
 def quadratic_residues(Q: int) -> list[int]:
     return sorted({(x * x) % Q for x in range(Q)})
-
-
-def lambda_q_size(Q: int) -> int:
-    """|Lambda_Q| for odd squarefree Q: product of (p+1)/2 over prime factors,
-    cross-checked against full enumeration."""
-    primes = _odd_squarefree_primes(Q)
-    formula = 1
-    for p in primes:
-        formula *= (p + 1) // 2
-    enumerated = len(quadratic_residues(Q))
-    if formula != enumerated:
-        raise AssertionError(f"residue count mismatch for Q={Q}")  # unreachable
-    return formula
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,6 @@ __all__ = [
     "gauss_sum",
     "weyl_bound_audit",
     "WeylAuditRow",
-    "smallest_denominator",
-    "qn_escape_trace",
 ]
 
 
@@ -107,27 +105,6 @@ def dirichlet_approx(beta, q_max) -> ApproxCertificate:
     return cert
 
 
-def smallest_denominator(beta, N: int) -> Fraction:
-    """Smallest-denominator p/q with q <= N^(4/3), |beta - p/q| <= 1/(q N^(4/3)).
-
-    The minimizer is the first convergent with |q*beta - p| <= N^(-4/3): by the
-    best-approximation property no smaller q can do better than the preceding
-    convergent's record.  Both inequalities are tested exactly via cubes
-    (q^3 <= N^4 and |q*beta - p|^3 * N^4 <= 1).
-    """
-    b = exact_frequency(beta)
-    N4 = N**4
-    last = None
-    for conv in convergents(b):
-        p, q = conv.numerator, conv.denominator
-        if q**3 > N4:
-            break
-        last = conv
-        if abs(b * q - p) ** 3 * N4 <= 1:
-            return conv
-    return last  # Dirichlet makes this branch unreachable for real inputs
-
-
 def weyl_sum(N: int, beta: float) -> complex:
     """(1/N) sum_{j=1}^{N} e(j^2 beta), compensated direct summation.
 
@@ -207,14 +184,3 @@ def weyl_bound_audit(N: int, beta: float) -> WeylAuditRow:
     return WeylAuditRow(
         N, float(beta), cert.p, cert.q, float(cert.error), value, shape, value / shape
     )
-
-
-def qn_escape_trace(gamma: float, N_list) -> list[tuple[int, int, int]]:
-    """For each N, the smallest denominator q_N approximating gamma + N^(-1/2)
-    at quality N^(-4/3); rows (N, q_N, p_N)."""
-    out = []
-    for N in N_list:
-        beta = (float(gamma) + 1.0 / math.sqrt(N)) % 1.0
-        conv = smallest_denominator(beta, int(N))
-        out.append((int(N), conv.denominator, conv.numerator))
-    return out

@@ -71,6 +71,23 @@ def test_select_squares_stalls_exit_3(tmp_path, capsys):
     assert "best_sup_lower" in err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_stall_report_is_strict_json(tmp_path, capsys):
+    # cap 1 stalls at stage 2 before any candidate: no lower bound to report
+    rc = main([
+        "select", "--family", "squares", "--k", "2", "--cap", "1",
+        "--out", str(tmp_path / "s.json"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    report = json.loads(err[err.index("\n{") + 1 :], parse_constant=_reject_constant)
+    assert report["best_sup_lower"] is None
+    assert report["rejected"] == report["uncertifiable"] == 0
+
+
 def test_select_k1_succeeds(tmp_path):
     rc, out = run(tmp_path, "s.json", "select", "--family", "squares", "--k", "1", "--cap", "10")
     assert rc == 0
@@ -109,7 +126,8 @@ def test_bad_family_exit_2(tmp_path):
         ["triviality", "--family", "squares", "--n", "4", "--tol", "nan"],
         ["triviality", "--family", "squares", "--n", "4", "--grid-cap", "1"],
         ["select", "--family", "squares", "--k", "0", "--cap", "10"],
-        ["select", "--family", "squares", "--k", "2", "--cap", "3", "--sup-tol", "nan"],
+        ["select", "--family", "squares", "--k", "1", "--cap", "0"],
+        ["select", "--family", "squares", "--k", "1", "--cap", "-5"],
         ["select", "--family", "perturbed:power:0.142857", "--k", "1", "--cap", "4"],
         ["maximal", "--family", "squares", "--indices", "0"],
         ["maximal", "--family", "squares", "--indices", ""],
@@ -130,6 +148,8 @@ def test_bad_family_exit_2(tmp_path):
          "--row-betas", "-3"],
         ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
         ["residues", "--rho", "logpow:400", "--q", "15", "--n-list", "1000"],
+        ["cz-check", "--count", "0"],
+        ["cz-check", "--lambdas", "0"],
     ],
     ids=lambda args: " ".join(args),
 )

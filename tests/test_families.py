@@ -344,15 +344,20 @@ def test_support_radius_examples():
 
 @pytest.mark.parametrize("rho", [rho_power(Fraction(1, 4)), rho_power(Fraction(3, 10)), rho_log(1.0)])
 def test_perturbed_family_prefix_cache_matches_direct_build(rho):
-    fam = perturbed_family(rho)
+    fam, squares = perturbed_family(rho), squares_family()
     # across the cache's growth points (1024, 2048, 4096, ...), downwards, and
-    # a jump past twice the cached size
+    # a jump past twice the cached size; squares shares the builder
     for n in (1, 2, 1023, 1024, 1025, 5, 2047, 2048, 2049, 300, 4097, 12_000, 4096, 1):
-        mu, want = fam.measure(n), perturbed_squares_measure(rho, n)
-        assert mu.sites.tobytes() == want.sites.tobytes(), n
-        assert mu.weights.tobytes() == want.weights.tobytes(), n
-        assert mu.total_variation == want.total_variation, n
+        pairs = (
+            (fam.measure(n), perturbed_squares_measure(rho, n)),
+            (squares.measure(n), squares_measure(n)),
+        )
+        for mu, want in pairs:
+            assert mu.sites.tobytes() == want.sites.tobytes(), n
+            assert mu.weights.tobytes() == want.weights.tobytes(), n
+            assert mu.total_variation == want.total_variation, n
         assert fam.support_radius(n) == n * n + rho.floor_at_int(n), n
+        assert squares.support_radius(n) == n * n, n
     # a fresh family whose first call is large
     assert perturbed_family(rho).measure(5000) == perturbed_squares_measure(rho, 5000)
     for bad in (0, -3):

@@ -16,8 +16,6 @@ from ergodecay import (
     fourier_at,
     fourier_grid,
     make_measure,
-    measure_from_json,
-    measure_to_json,
     modulate,
     parse_family,
     perturbed_squares_measure,
@@ -825,14 +823,6 @@ def test_probability_measure_transform_bounds():
     assert fourier_at(nu, 0.0) == pytest.approx(1.0, abs=1e-12)
     for g in np.linspace(0, 0.99, 23):
         assert abs(fourier_at(nu, float(g))) <= 1.0 + 1e-12
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_json_roundtrip():
-    mu = make_measure([(4, 0.5), (9, 0.5j), (-3, -1.25)])
-    assert measure_from_json(measure_to_json(mu)) == mu
 
 
 def test_fourier_csv(tmp_path):

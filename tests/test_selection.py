@@ -3,26 +3,20 @@ import json
 import math
 from itertools import islice
 
-import numpy as np
 import pytest
 
 from ergodecay import (
     MeasureFamily,
-    ResourceCapError,
     SelectionStalled,
     SelectionState,
     VerificationError,
     certify_sup_below,
     make_measure,
-    n_of_s,
     parse_family,
-    point_mass,
-    s_of,
     select_subsequence,
     selection_from_json,
     selection_to_json,
     squares_family,
-    tail_split,
     verify_selection,
 )
 
@@ -37,6 +31,11 @@ def brute_s_of(family, n):
     while 2**s < radius:
         s += 1
     return s
+
+
+def s_of(family, n):
+    """S(n) as selection computes it: the n-th value of ``_cumulative_S``."""
+    return next(islice(selection._cumulative_S(family), n - 1, None))[1]
 
 
 # -- S(n) and N(s) -----------------------------------------------------------
@@ -56,58 +55,19 @@ def test_s_of_matches_brute_oracle():
 
 
 def test_n_of_s_against_definition():
-    fam = squares_family()
+    # S(n) never decreases, and N(s), the first n with S(n) > s, is the first
+    # n with n^2 > 2^s for squares
+    S = [S_n for _, S_n in islice(selection._cumulative_S(squares_family()), 100)]
+    assert S == sorted(S)
+
+    def n_of_s(s):
+        return 1 + next(i for i, S_n in enumerate(S) if S_n > s)
+
     for s in range(0, 12):
-        n = n_of_s(fam, s)
-        assert s_of(fam, n) > s
-        assert n == 1 or s_of(fam, n - 1) <= s
-    # spot values from the definition: first n with n^2 > 2^s
-    assert n_of_s(fam, 0) == 2
-    assert n_of_s(fam, 6) == 9  # 81 > 64 already at n=9
-    assert n_of_s(fam, 7) == 12  # 121 <= 128 < 144
-
-
-def test_n_of_s_bounded_support_errors():
-    fam = MeasureFamily("point", lambda n: point_mass(1), lambda n: 1)
-    with pytest.raises(ResourceCapError):
-        n_of_s(fam, 5, search_cap=200)
-
-
-# -- tail_split ----------------------------------------------------------------
-
-
-def test_tail_split_examples():
-    compact, tail = tail_split(point_mass(0), 5)
-    assert compact == point_mass(0) and tail.n_atoms == 0
-
-    mu = make_measure([(1, 0.5), (100, 0.5)])
-    compact, tail = tail_split(mu, 10)
-    assert compact == make_measure([(1, 0.5)])
-    assert tail == make_measure([(100, 0.5)])
-    assert compact.total_variation + tail.total_variation == pytest.approx(
-        mu.total_variation, abs=1e-15
-    )
-
-
-@pytest.mark.parametrize("radius", [-1, 0, 3, 40, 10**6])
-def test_tail_split_matches_atom_list_construction(radius):
-    # compact and tail as built from per-atom (site, weight) lists, bit for bit;
-    # radius -1 leaves compact empty and 10**6 leaves tail empty
-    rng = np.random.default_rng(5)
-    mu = make_measure(
-        zip(rng.integers(-50, 51, size=40).tolist(), rng.normal(size=40) + 1j * rng.normal(size=40))
-    )
-    inside = (mu.sites >= -radius) & (mu.sites <= radius)
-    want = (
-        make_measure(zip(mu.sites[inside].tolist(), mu.weights[inside])),
-        make_measure(zip(mu.sites[~inside].tolist(), mu.weights[~inside])),
-    )
-    for got, ref in zip(tail_split(mu, radius), want):
-        assert got.sites.dtype == ref.sites.dtype and got.weights.dtype == ref.weights.dtype
-        assert got.sites.tobytes() == ref.sites.tobytes()
-        assert got.weights.tobytes() == ref.weights.tobytes()
-        assert got.total_variation.hex() == ref.total_variation.hex()
-    assert tail_split(mu, -1)[0].n_atoms == 0 and tail_split(mu, 10**6)[1].n_atoms == 0
+        assert n_of_s(s) == next(n for n in range(1, 100) if n * n > 2**s)
+    assert n_of_s(0) == 2
+    assert n_of_s(6) == 9  # 81 > 64 already at n=9
+    assert n_of_s(7) == 12  # 121 <= 128 < 144
 
 
 # -- selection: positive path ----------------------------------------------------

@@ -12,11 +12,9 @@ from ergodecay import (
     block_sum,
     cesaro_expos,
     fourier_at,
-    lambda_q_size,
     parse_rho,
     major_arc_audit,
     perturbed_squares_measure,
-    phi_of,
     quadratic_residues,
     residue_density,
     rho_constant,
@@ -87,18 +85,13 @@ def test_blocks_partition_horizon():
 # -- phi ------------------------------------------------------------------------
 
 
-def test_phi_of_values():
-    assert phi_of(RHO4, 2) == pytest.approx(256.0)
-    # rho = x^(1/4): inverse(3) = 81, phi = 6561; a sqrt-kind check
-    assert phi_of(RHO4, 3) == pytest.approx(6561.0)
-
-
 def test_phi_increments_count_sqrt_blocks():
-    # number of l with sqrt(l) in I_j matches phi(j+1) - phi(j) within 2
+    # number of l with sqrt(l) in I_j matches phi(j+1) - phi(j) within 2, where
+    # phi(j) = rho^{-1}(j)^2 is the squared block endpoint
     for rho in (RHO4, rho_log(1.0)):
         for j in range(int(rho.floor_at_int(1)), 5):
             n_l = abs(block_sqrt_sum(rho, j, 0.0))
-            diff = phi_of(rho, j + 1) - phi_of(rho, j)
+            diff = rho.inverse(j + 1) ** 2 - rho.inverse(j) ** 2
             assert abs(n_l - diff) <= 2.0
 
 
@@ -265,9 +258,9 @@ def test_transform_audit_structure():
 
 
 def test_lambda_q_counts():
-    assert lambda_q_size(15) == 6
-    assert lambda_q_size(105) == 24
+    # |Lambda_Q| is the product of (p + 1)/2 over the primes p of Q
     assert len(quadratic_residues(15)) == 6
+    assert len(quadratic_residues(105)) == 24
 
 
 def test_residue_density_rejects_bad_q():

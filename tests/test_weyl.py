@@ -12,8 +12,6 @@ from ergodecay import (
     dirichlet_approx,
     exact_frequency,
     gauss_sum,
-    qn_escape_trace,
-    smallest_denominator,
     weyl_bound_audit,
     weyl_sum,
 )
@@ -268,52 +266,3 @@ def test_weyl_audit_sweep_bounded():
         weyl_bound_audit(N, m / 256).ratio for N in (64, 256) for m in range(256)
     ]
     assert max(ratios) <= 10.0
-
-
-# -- q_N escape --------------------------------------------------------------------
-
-
-def test_qn_escape_gamma_zero():
-    rows = qn_escape_trace(0.0, range(3, 40))
-    assert all(q >= 2 for _, q, _ in rows)
-
-
-def test_qn_escape_trend_at_half():
-    rows = qn_escape_trace(0.5, [10**2, 10**4, 10**6])
-    qs = [q for _, q, _ in rows]
-    running_min = [min(qs[: i + 1]) for i in range(len(qs))]
-    bests = [min(qs[i:]) for i in range(len(qs))]
-    assert bests[0] <= bests[-1]  # min-so-far trend does not decrease along the tail
-    assert qs[-1] >= qs[0]
-
-
-def test_qn_escape_avoids_own_denominator():
-    a, b = 2, 7
-    rows = qn_escape_trace(a / b, [10, 50, 100, 500, 1000, 5000])
-    assert all(q != b for _, q, _ in rows)
-
-
-def test_smallest_denominator_is_minimal():
-    # brute oracle over all q for small N: smallest q with ||q beta|| <= N^(-4/3)
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        beta = float(rng.random())
-        N = int(rng.integers(2, 60))
-        b = exact_frequency(beta)
-        N4 = N**4
-        best = None
-        q = 1
-        while True:
-            p = round(b * q)
-            if q**3 <= N4 and abs(b * q - p) ** 3 * N4 <= 1:
-                best = (p, q)
-                break
-            q += 1
-            if q**3 > N4:
-                break
-        conv = smallest_denominator(beta, N)
-        assert best is not None
-        assert (conv.numerator, conv.denominator) == (
-            Fraction(best[0], best[1]).numerator,
-            Fraction(best[0], best[1]).denominator,
-        )
