@@ -23,7 +23,7 @@ from .measures import (
     WeightedMeasure,
     _csum,
     _from_arrays,
-    _subgrid_max,
+    _pruned_max,
     _total_variation,
     _uniform_on,
     bracket_sup,
@@ -247,7 +247,11 @@ def sigma_hat_grid(S_prev: int, n: int, m: np.ndarray, G: int) -> np.ndarray:
 def sigma_deficit_sup(mu: WeightedMeasure, S_prev: int, n: int, tol: float) -> dict:
     """Bracket sup_gamma |mu_hat(gamma) (1 - sigma_n_hat(gamma))| and report the
     comparison chain 2^(S_prev+n) * triviality upper -> 2^(-S_prev-n).  Each
-    grid maximum is ``measures._subgrid_max`` of mu times 1 - sigma_n_hat."""
+    grid maximum is ``measures._pruned_max`` of mu times 1 - sigma_n_hat: the
+    bits of ``_subgrid_max`` over every sub-grid, from the few sub-grids that
+    can hold the maximum of a trigonometric polynomial of the bracket's
+    degree.  A measure of many atoms whose pruning grid keeps many points
+    (criterion 09's 2^20 atoms) falls back to every sub-grid."""
     if S_prev < 0 or n < 1:
         raise ValueError("need S_prev >= 0 and n >= 1")
 
@@ -262,7 +266,7 @@ def sigma_deficit_sup(mu: WeightedMeasure, S_prev: int, n: int, tol: float) -> d
         degree = max(1, (fmax - fmin + 1) // 2)
         lip = 2.0 * math.pi * max(abs(fmin), abs(fmax)) * 2.0 * mu.total_variation
         bracket = bracket_sup(
-            lambda G: _subgrid_max(mu.sites, mu.weights, G, deficit),
+            lambda G: _pruned_max(mu.sites, mu.weights, G, degree, deficit),
             degree, lip, tol, label="sigma_deficit_sup",
         )
     triv = triviality_sup(mu, tol)

@@ -20,15 +20,19 @@ sup brackets of ``triviality_sup`` and ``czmax.sigma_deficit_sup`` (through
 ``bracket_sup``) and the threshold decisions of ``certify_sup_below``.  They
 differ only in when they stop.
 
-The refinement needs only the maximum of |T| over each grid, and one
-evaluator, ``_subgrid_max``, takes it for both brackets without a G-point
-array: interleaved sub-grids m = t + P*s, each one FFT of the modulated
-atoms, times an optional factor (the four-step FFT of Bailey, "FFTs in
-external or hierarchical memory", J. Supercomputing 4(1), 1990).  The
-sigma-deficit bracket passes mu and the factor 1 - sigma_hat.  The
-triviality bracket passes the difference measure mu - delta_1 * mu, whose
-transform is (1 - e(gamma)) mu_hat(gamma), above ``_SUBGRID_MIN`` points and
-evaluates smaller grids whole (fold, inverse FFT, the 1 - e table).
+The refinement needs only the maximum of |T| over each grid.
+``_subgrid_max`` defines it without a G-point array: interleaved sub-grids
+m = t + P*s, each one FFT of the modulated atoms, times an optional factor
+(the four-step FFT of Bailey, "FFTs in external or hierarchical memory",
+J. Supercomputing 4(1), 1990).  ``_pruned_max`` returns the same double from
+few of those sub-grids.  By Bernstein's inequality only a few cells of a
+grid of about 8d points (d the degree) can hold the maximum; direct sums
+refine them up to G, and only the sub-grids that hold the last candidates
+are evaluated.  Both brackets use it.  The sigma-deficit bracket passes mu
+and the factor 1 - sigma_hat.  The triviality bracket passes the difference
+measure mu - delta_1 * mu, whose transform is (1 - e(gamma)) mu_hat(gamma),
+above ``_SUBGRID_MIN`` points, and evaluates smaller grids whole (fold,
+inverse FFT, the 1 - e table).
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ _SUBGRID_MIN = 1 << 16
 # Sub-grid points per batched FFT: 4 MB of complex128, the fastest of
 # 2^16..2^20 points when timed on a 2^22 grid (180 and 2 atoms)
 _SUBGRID_BATCH = 1 << 18
+# Sub-grid FFT terms (points times log2 L) per direct-sum term (points times
+# atoms) that ``_pruned_max`` may spend: a direct term costs about 40 FFT
+# terms (50 ns against 1.2-1.9 ns, numpy 2.4 on two x86-64 cores), so direct
+# sums stay under the cost of the sub-grids they replace
+_DIRECT_TERM_COST = 64
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _MAX_EXACT_SITE = 1 << 53  # sites beyond this do not convert to float64 exactly
@@ -397,37 +406,160 @@ def _subgrid_max(sites: np.ndarray, weights: np.ndarray, G: int, factor=None) ->
         sqrt(2) gamma_2 2D and |.| 4u D: 2E + 40u D <= (2 (19 + 1449 + 175) + 40) u.
     Both are under 3.7e-13 < _FP_SLACK; ROADMAP item 3 derives the slack beyond.
     """
+    P = _subgrid_shape(len(sites), G)[1]
+    best = 0.0
+    for _, mags in _subgrid_rows(sites, weights, G, factor, np.arange(P)):
+        best = max(best, float(mags.max()))
+    return best
+
+
+def _subgrid_shape(n_atoms: int, G: int) -> tuple[int, int]:
+    """Points per sub-grid L and sub-grid count P = G/L of ``_subgrid_max``."""
+    L = min(G, max(_SUBGRID_MIN, _next_pow2(4 * n_atoms)))
+    return L, G // L
+
+
+def _subgrid_rows(sites: np.ndarray, weights: np.ndarray, G: int, factor, ts: np.ndarray):
+    """Yield (t, mags) for the sub-grids t in the int64 array ``ts``, a batch
+    at a time: mags[i, s] = |F(m/G) f(m)| at m = t[i] + P*s, as
+    ``_subgrid_max`` defines them.  A sub-grid's values do not depend on the
+    sub-grids that share its batch.  ``mags`` is overwritten by the next batch.
+    """
     sites = sites & (G - 1)
-    L = min(G, max(_SUBGRID_MIN, _next_pow2(4 * len(sites))))
-    P = G // L
+    L, P = _subgrid_shape(len(sites), G)
     rows = max(1, min(P, _SUBGRID_BATCH // L))
     cols = sites & (L - 1)
-    batch = np.empty((rows, L), dtype=np.complex128)
-    flat = batch.reshape(-1)
+    buf = np.empty((rows, L), dtype=np.complex128)
     mags = np.empty((rows, L))
     C = min(L, _SUBGRID_MIN)  # factor points per call
-    best = 0.0
-    for t0 in range(0, P, rows):
-        t = np.arange(t0, t0 + rows, dtype=np.int64)[:, None]
-        phase = (sites * t) & (G - 1)  # exact: both factors are below G
+    for b in range(0, len(ts), rows):
+        t = ts[b : b + rows]
+        k = len(t)
+        batch = buf[:k]
+        flat = batch.reshape(-1)
+        phase = (sites * t[:, None]) & (G - 1)  # exact: both factors are below G
         vals = np.exp((2j * math.pi) * (phase / G))
         vals *= weights
         flat.fill(0.0)
-        np.add.at(flat, (np.arange(rows)[:, None] * L + cols).ravel(), vals.ravel())
+        np.add.at(flat, (np.arange(k)[:, None] * L + cols).ravel(), vals.ravel())
         np.fft.ifft(batch, axis=1, norm="forward", out=batch)
         if factor is not None:
-            for j in range(0, rows * L, C):
-                i, s = divmod(j, L)  # flat[j] is m = t0 + i + P*s
-                flat[j : j + C] *= factor(t0 + i + P * np.arange(s, s + C), G)
-        best = max(best, float(np.abs(batch, out=mags).max()))
-    return best
+            for j in range(0, k * L, C):
+                i, s = divmod(j, L)  # flat[j] is m = t[i] + P*s
+                flat[j : j + C] *= factor(t[i] + P * np.arange(s, s + C), G)
+        yield t, np.abs(batch, out=mags[:k])
+
+
+def _direct_values(sites: np.ndarray, weights: np.ndarray, G: int, m: np.ndarray, factor) -> np.ndarray:
+    """|F(m/G) f(m)| at the int64 indices m, each a direct sum over the atoms
+    with ``_subgrid_max``'s exact integer phases.  ``np.sum`` adds pairwise in
+    a fixed order (no BLAS), each term through at most 18 + log2(atoms)
+    roundings: ``_subgrid_max``'s bound holds with sqrt(2) (18 + log2 atoms)
+    in place of the fold's and FFT's sqrt(2) M + 7 log2 L, which is larger."""
+    sites = sites & (G - 1)
+    out = np.empty(len(m))
+    chunk = max(1, _SUBGRID_BATCH // len(sites))
+    for i0 in range(0, len(m), chunk):
+        mm = m[i0 : i0 + chunk]
+        vals = np.exp((2j * math.pi) * (((sites * mm[:, None]) & (G - 1)) / G))
+        vals *= weights
+        sums = vals.sum(axis=1)
+        if factor is not None:
+            sums *= factor(mm, G)
+        np.abs(sums, out=out[i0 : i0 + chunk])
+    return out
+
+
+def _pruned_max(sites: np.ndarray, weights: np.ndarray, G: int, degree: int, factor=None) -> float:
+    """``_subgrid_max(sites, weights, G, factor)``, the same double, from the
+    few sub-grids that can hold its maximum.  ``degree`` bounds the centred
+    degree d of T = F f, a trigonometric polynomial.
+
+    Bernstein's inequality |T'| <= 2 pi d sup|T| (Zygmund, Trigonometric
+    Series, vol. II, ch. X) bounds how fast |T| moves between grid points:
+      1. The pruning grid G0 = max(next_pow2(8 d), L) has pi d/G0 <= pi/8.  It
+         is the sub-grids t = 0, G/G0, 2G/G0, ... of G's.  With top its largest
+         value, U = (top + s)/cos(pi d/G0) bounds sup|T|, s = _FP_SLACK.  Its
+         points below top - pi d U/G0 - 4s are dropped.
+      2. Each doubling G_j -> 2 G_j adds the points 2m - 1 and 2m + 1 around
+         every kept m, evaluated by direct sums (``_direct_values``), and drops
+         the points below top - pi d U/G_j - 4s, top the largest value so far.
+      3. At G, the sub-grids t = m mod P of the points within 4s of top are
+         evaluated as ``_subgrid_max`` evaluates them, and the largest |.| on
+         them is returned.
+    Why the maximum survives.  Let x be the point of the G grid with the
+    largest sub-grid value, the point ``_subgrid_max`` reports.  Suppose every
+    value, sub-grid or direct, is within s of the exact |T| (the premise of
+    ``_grid_lower``: ``_subgrid_max`` bounds the roundoff below s for
+    criterion 09's range, direct sums have less, and ROADMAP item 3 derives
+    the slack beyond it).  Then no value exceeds |T(x)| + 3s.  The G_j point
+    y nearest x, at most 1/(2 G_j) away, has |T(y)| >= |T(x)| - pi d U/G_j,
+    so y passes the cut at every level, and y is a child of the point nearest
+    x one level up.  At G, y = x is within 4s of top, so step 3 evaluates
+    its sub-grid.
+
+    The sub-grids of step 1 are part of G's, so every fallback keeps their
+    maxima and evaluates the rest, the work of ``_subgrid_max``: when the
+    direct work (points times atoms) would exceed B = G log2 L /
+    _DIRECT_TERM_COST, when step 1 keeps more than min(L, B / (2 atoms))
+    points, or when step 3 needs more than P/2 sub-grids.  G0 >= G is
+    ``_subgrid_max`` itself.  These depend on sizes only.
+    """
+    n = len(sites)
+    L, P = _subgrid_shape(n, G)
+    G0 = max(_next_pow2(8 * degree), L)
+    if G0 >= G:
+        return _subgrid_max(sites, weights, G, factor)
+    step = G // G0
+    bernstein = math.pi * degree / math.cos(math.pi * degree / G0)  # pi d U / (top + s)
+    budget = G * (L.bit_length() - 1) // _DIRECT_TERM_COST
+    row_max = {}
+    top = 0.0
+    # the kept points of the current grid and their values; m is None once
+    # the sizes send the evaluation back to every sub-grid
+    m, v = np.empty(0, dtype=np.int64), np.empty(0)
+    for t, mags in _subgrid_rows(sites, weights, G, factor, np.arange(0, P, step)):
+        row_max.update(zip(t.tolist(), mags.max(axis=1).tolist()))
+        if m is None:
+            continue
+        top = max(top, float(mags.max()))
+        margin = bernstein * (top + _FP_SLACK)  # pi d U, U from the top so far
+        floor = top - margin / G0 - 4 * _FP_SLACK
+        i, s = np.nonzero(mags >= floor)
+        keep = v >= floor
+        m = np.concatenate([m[keep], (t[i] + P * s) // step])
+        v = np.concatenate([v[keep], mags[i, s]])
+        if len(m) > min(L, budget // (2 * n)):
+            m = None
+    Gj, spent = G0, 0
+    while m is not None and Gj < G:
+        keep = v >= top - margin / Gj - 4 * _FP_SLACK
+        m, v = m[keep], v[keep]
+        Gj *= 2
+        odd = np.unique(np.concatenate([2 * m - 1, 2 * m + 1]) & (Gj - 1))
+        spent += len(odd) * n
+        if spent > budget:
+            m = None
+            break
+        m = np.concatenate([2 * m, odd])
+        v = np.concatenate([v, _direct_values(sites, weights, Gj, odd, factor)])
+        top = max(top, float(v.max()))
+    rows = np.arange(P)
+    if m is not None:
+        near = np.unique(m[v >= top - 4 * _FP_SLACK] % P)
+        if len(near) <= P // 2:
+            rows = near
+    todo = np.array([t for t in rows.tolist() if t not in row_max], dtype=np.int64)
+    for t, mags in _subgrid_rows(sites, weights, G, factor, todo):
+        row_max.update(zip(t.tolist(), mags.max(axis=1).tolist()))
+    return max(row_max[t] for t in rows.tolist())
 
 
 def _triviality_max(mu: WeightedMeasure, G: int) -> float:
     """max over the G-point grid of |(1 - e) mu_hat|: the whole grid up to
-    _SUBGRID_MIN points, sub-grids of the difference measure above."""
+    _SUBGRID_MIN points, the pruned sub-grids of the difference measure above."""
     if G > _SUBGRID_MIN:
-        return _subgrid_max(*_difference_measure(mu), G)
+        return _pruned_max(*_difference_measure(mu), G, _degree_and_lipschitz(mu)[0])
     return float(np.max(_triviality_on_grid(mu, G)))
 
 

@@ -178,6 +178,7 @@ def select_subsequence(
                     best_lower = _settle(pending, best_lower, grid_cap)
         if accepted is None:
             best_lower = _settle(pending, best_lower, grid_cap)
+            best_text = f"{best_lower:.4g}" if best_lower < math.inf else "none"
             report = {
                 "family": family.descriptor,
                 "stage": k,
@@ -192,7 +193,7 @@ def select_subsequence(
             raise SelectionStalled(
                 f"selection stalled at stage {k}/{count} for {family.descriptor}: "
                 f"no admissible index <= {search_cap}; bound {bound:.3g}, best "
-                f"certified sup lower bound {best_lower:.4g} "
+                f"certified sup lower bound {best_text} "
                 f"({n_rejected} rejected, {n_uncertifiable} uncertifiable at grid cap)",
                 report,
             )

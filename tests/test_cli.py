@@ -86,6 +86,8 @@ def test_stall_report_is_strict_json(tmp_path, capsys):
     report = json.loads(err[err.index("\n{") + 1 :], parse_constant=_reject_constant)
     assert report["best_sup_lower"] is None
     assert report["rejected"] == report["uncertifiable"] == 0
+    text = err[: err.index("\n{")]
+    assert "lower bound none" in text and "inf" not in text, text
 
 
 def test_select_k1_succeeds(tmp_path):

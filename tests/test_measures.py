@@ -393,6 +393,158 @@ def test_sigma_deficit_subgrid_max_matches_full_grid(mu, G, S_prev, n):
     assert abs(got - want) <= bound, (got, want, bound)
 
 
+# -- pruned fine grids: the same double as every sub-grid ------------------------
+
+
+def _traced_pruned_max(sites, weights, G, degree, factor=None):
+    """``_pruned_max`` with the sub-grids it evaluates, in order, and the
+    number of points it sums directly."""
+    rows, direct = [], [0]
+    subgrid_rows, direct_values = measures._subgrid_rows, measures._direct_values
+
+    def recording_rows(sites, weights, G, factor, ts):
+        rows.extend(ts.tolist())
+        return subgrid_rows(sites, weights, G, factor, ts)
+
+    def recording_direct(sites, weights, G, m, factor):
+        direct[0] += len(m)
+        return direct_values(sites, weights, G, m, factor)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_subgrid_rows", recording_rows)
+        mp.setattr(measures, "_direct_values", recording_direct)
+        value = measures._pruned_max(sites, weights, G, degree, factor)
+    return value, rows, direct[0]
+
+
+def _atoms_degree(sites, extra=0):
+    return max(1, (int(sites[-1]) + extra - int(sites[0]) + 1) // 2)
+
+
+def _pruning_grid_rows(n_atoms, G, degree):
+    """The sub-grids of ``_pruned_max``'s pruning grid, none when it is G."""
+    L, P = measures._subgrid_shape(n_atoms, G)
+    G0 = max(measures._next_pow2(8 * degree), L)
+    return list(range(0, P, G // G0)) if G0 < G else []
+
+
+def _two_peaks(N=512, G0=1 << 16):
+    """D_N(gamma - g1) + b D_N(gamma - g2) with b = 1 + 2e-5: g1 on the
+    pruning grid, g2 = g1 + 1/2 + 1/(2 G0) halfway between two of its points
+    (each kernel is near 0 at the other's peak).  The pruning grid loses
+    about 0.013 of g2's height 512.010 and ranks g1 (512) first, by far less
+    than its margin of about 6; finer grids rank g2 first."""
+    k = np.arange(N)
+    g1 = 1000 / G0
+    g2 = g1 + 0.5 + 0.5 / G0
+    w = np.exp(-2j * np.pi * k * g1) + (1 + 2e-5) * np.exp(-2j * np.pi * k * g2)
+    return make_measure(zip(k.tolist(), w.tolist()))
+
+
+@st.composite
+def _pruned_cases(draw):
+    """Up to 40 atoms spanning at most G/16 anywhere in [-3G, 3G], real or
+    complex weights, taken as they are or as a difference measure."""
+    G = draw(st.sampled_from([1 << 17, 1 << 18, 1 << 20]))
+    span = draw(st.integers(1, G // 16))
+    start = draw(st.integers(-3 * G, 3 * G))
+    part = st.integers(-64, 64).map(lambda k: k / 64)
+    complex_weights = draw(st.booleans())
+    atoms = [
+        (start + draw(st.integers(0, span)), complex(draw(part), draw(part) if complex_weights else 0))
+        for _ in range(draw(st.integers(1, 40)))
+    ]
+    mu = make_measure(atoms)
+    assume(mu.n_atoms > 0)
+    if draw(st.booleans()):
+        sites, weights = _difference_measure(mu)
+        order = np.argsort(sites)
+        return G, sites[order], weights[order]
+    return G, mu.sites, mu.weights
+
+
+_REAL_MIRRORED = make_measure([(-1890, 0.6875), (-1658, 0.078125), (198, 0.640625),
+                               (575, -0.34375), (1014, -0.09375), (1462, 0.578125)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pruned_cases())
+# the top on sub-grids 1 and 3 (P = 4), 4 ulp apart: only the larger is the max
+@example((1 << 18, _REAL_MIRRORED.sites, _REAL_MIRRORED.weights))
+@example((1 << 18, _two_peaks().sites, _two_peaks().weights))
+@example((1 << 20, *_difference_measure(squares_measure(180))))
+def test_pruned_max_is_subgrid_max_bit_for_bit(case):
+    G, sites, weights = case
+    degree = _atoms_degree(np.sort(sites))
+    got, rows, _ = _traced_pruned_max(sites, weights, G, degree)
+    assert got == _subgrid_max(sites, weights, G)
+    # pruning engaged: the first sub-grids make a pruning grid below G
+    pruning = _pruning_grid_rows(len(sites), G, degree)
+    assert pruning and rows[: len(pruning)] == pruning
+
+
+def test_pruned_max_finds_a_peak_the_pruning_grid_ranks_second():
+    mu = _two_peaks()
+    got, rows, direct = _traced_pruned_max(mu.sites, mu.weights, 1 << 18, 256)
+    assert got == _subgrid_max(mu.sites, mu.weights, 1 << 18)
+    # the pruning grid is sub-grid 0, and its max is g1's, below the one found
+    assert _subgrid_max(mu.sites, mu.weights, 1 << 16) < got
+    assert rows[0] == 0 and len(rows) == 2 and direct > 0
+
+
+def test_pruned_max_reads_both_mirrored_rows_of_a_real_top():
+    mu = _REAL_MIRRORED
+    got, rows, direct = _traced_pruned_max(mu.sites, mu.weights, 1 << 18, _atoms_degree(mu.sites))
+    assert got == _subgrid_max(mu.sites, mu.weights, 1 << 18)
+    assert sorted(rows) == [0, 1, 3] and direct > 0
+
+
+@pytest.mark.parametrize("S_prev, n", [(0, 1), (3, 2)])
+@pytest.mark.parametrize("G", [1 << 17, 1 << 20, 1 << 22])
+@pytest.mark.parametrize("mu", _DEFICIT_CASES, ids=["four", "five"])
+def test_pruned_sigma_deficit_max_is_subgrid_max_bit_for_bit(mu, G, S_prev, n):
+    def deficit(m, G):
+        return 1.0 - sigma_hat_grid(S_prev, n, m, G)
+
+    degree = _atoms_degree(mu.sites, 1 << (S_prev + n))
+    got, rows, _ = _traced_pruned_max(mu.sites, mu.weights, G, degree, deficit)
+    assert got == _subgrid_max(mu.sites, mu.weights, G, deficit)
+    pruning = _pruning_grid_rows(mu.n_atoms, G, degree)  # none: one pass as before
+    assert rows[: len(pruning)] == pruning
+
+
+def test_triviality_refinement_evaluates_few_grid_points(monkeypatch):
+    points = [0]
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        points[0] += np.size(a)
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    br = triviality_sup(squares_measure(180), 1e-4)
+    assert br.grid_size == 1 << 22
+    # the coarse grid, the 2^17-point pruning grid and at most 4 sub-grids of
+    # 2^16 points, against 2^22 points for every sub-grid
+    assert points[0] <= (1 << 17) + 4 * (1 << 16) + 4096, points[0]
+
+
+def test_long_interval_sigma_deficit_falls_back_to_every_subgrid():
+    # criterion 09's k = 3 measure, uniform on 2^20 sites, at S_prev = 6: its
+    # pruning grid keeps thousands of points, each a sum of 2^20 atoms
+    mu = uniform_zero_based_family().measure(21)
+    S_prev, n, G = 6, 3, 1 << 24
+
+    def deficit(m, G):
+        return 1.0 - sigma_hat_grid(S_prev, n, m, G)
+
+    degree = _atoms_degree(mu.sites, 1 << (S_prev + n))
+    _, rows, direct = _traced_pruned_max(mu.sites, mu.weights, G, degree, deficit)
+    assert direct == 0
+    # the pruning grid's sub-grids 0 and 2 first, then the rest, each once
+    assert rows[:2] == [0, 2] and sorted(rows) == [0, 1, 2, 3]
+
+
 # -- triviality_sup -----------------------------------------------------------
 
 
