@@ -206,9 +206,7 @@ def cmd_weyl_audit(args) -> int:
 def cmd_threshold_audit(args) -> int:
     rho = parse_rho(args.rho)
     Ns = _parse_int_list(args.n_list)
-    report = transform_bound_audit(
-        rho, Ns, eps=args.eps, grid=args.grid, row_betas=args.row_betas
-    )
+    report = transform_bound_audit(rho, Ns, eps=args.eps, grid=args.grid)
     rows = [
         (args.rho, r["N"], r["beta"], "", "transform", r["value"], r["bound"], r["ratio"])
         for r in report["rows"]
@@ -371,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--grid", type=int, default=1 << 18)
-    p.add_argument("--row-betas", type=int, default=64)
     common(p)
     p.set_defaults(func=cmd_threshold_audit)
 

@@ -196,23 +196,21 @@ def default_lambda_grid(phi: WeightedMeasure) -> list[float]:
     return lams
 
 
-def weak11_rows(phi: WeightedMeasure, M: WeightedMeasure, lam_grid=None) -> list:
-    """(lambda, #{x : M(x) > lambda}, lambda * count / ||phi||_1) per lambda,
-    for a maximal function M built from phi (default: dyadic lambda grid)."""
+def weak11_rows(phi: WeightedMeasure, M: WeightedMeasure) -> list:
+    """(lambda, #{x : M(x) > lambda}, lambda * count / ||phi||_1) per lambda
+    of default_lambda_grid(phi), for a maximal function M built from phi."""
     vals = np.sort(np.abs(M.weights))
     tv = phi.total_variation
-    if lam_grid is None:
-        lam_grid = default_lambda_grid(phi)
     rows = []
-    for lam in lam_grid:
+    for lam in default_lambda_grid(phi):
         count = len(vals) - int(np.searchsorted(vals, lam, side="right"))
         rows.append((lam, count, lam * count / tv))
     return rows
 
 
-def weak11_ratio(phi: WeightedMeasure, measures, lam_grid=None) -> float:
+def weak11_ratio(phi: WeightedMeasure, measures) -> float:
     """max over lambda of lambda * #{x : M phi(x) > lambda} / ||phi||_1."""
-    rows = weak11_rows(phi, maximal_function(phi, measures), lam_grid)
+    rows = weak11_rows(phi, maximal_function(phi, measures))
     return max([0.0, *(ratio for _, _, ratio in rows)])
 
 

@@ -12,11 +12,11 @@ Squares takes plain k^2 there, never an exact floor.
 
 The rho menu is a closed enum (power, scaled log, powered log, constant) so
 that derivatives and inverses are exact formulas and floor(rho(x)) can be
-computed exactly.  Every scalar floor goes through RhoSpec.floor_at_sqrt:
-power exponents are stored as reduced fractions, so the power kind is exact
-at any rational argument by integer root arithmetic; the transcendental kinds
-get a float pass plus a high-precision recheck on values suspiciously close
-to an integer boundary.
+computed exactly.  Every kind but the constant floors a float pass and sends
+the values within _float_band of an integer, a band derived from the pass's
+rounding error, to the exact scalar oracle RhoSpec.floor_at_sqrt: integer
+Newton for the power kind, whose exponent is a reduced fraction, and a
+60-digit ``decimal`` evaluation for the log kinds.
 
 The two rotated variants exist because the displayed weight e(n^{-1/2} j) is
 inconsistent with the shift identity mu_hat(gamma) = nu_hat(gamma + n^{-1/2})
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import ConfigError
@@ -52,13 +52,33 @@ __all__ = [
     "perturbed_family",
 ]
 
-_BOUNDARY_BAND = 1e-9  # float floors this close to an integer get a recheck
 _ROTATED_VARIANTS = ("quadratic", "linear")
 _FIRST_BLOCK = 1024  # sites a perturbed family computes on its first call
-_MAX_POWER_DENOMINATOR = 1000  # exact floors of k^(p/q) compare r^q with k^p
+_MAX_POWER_DENOMINATOR = 1000  # the Newton oracle's cost grows with q: 1.5 ms at 1000
 # Sites and floors are int64: log(1+x)^c < 2^63 for every int64 x needs
-# c < 63 log 2 / log(63 log 2), about 11.56 (the double overflows past 187)
+# c < 63 log 2 / log(63 log 2), about 11.56 (the double overflows past 187),
+# and C log(1+x) < 2^63 needs C < 2^63 / log(2^63), about 2.11e17
 _MAX_LOG_POWER = 63 * math.log(2.0) / math.log(63 * math.log(2.0))
+_MAX_LOG_SCALE = 2.0**63 / math.log(2.0**63)
+
+
+def _float_band(t):
+    """max(1e-9, K u |t|), u = 2^-53, K = 128: a float value t of rho further
+    than this from every integer has the floor of rho's exact value.
+
+    Error model (Higham, Accuracy and Stability, ch. 2): rounding errs by u
+    relative, numpy's SIMD np.power and np.log1p by 4 ulp, so 8u.  An error
+    e in x moves log1p(x) by at most e relative, and e <= 2u on each path into
+    a float pass (float(k), sqrt of a rounded Fraction, exp past 2^1000).
+    - power: float(p/q) = a (1 + d), |d| <= u, scales x^a by exp(a d log x),
+      a log x < 44/3 below 2^63: 15u; float(k) adds u/3, np.power 8u.
+    - log_scaled, C log1p(x): 2u from x, 8u from log1p, u from the product.
+    - log_power, log1p(x)^c: log1p's 10u times c <= 11.56 (parse_rho's
+      bound), plus np.power's 8u: 124u, the largest.
+    The 1e-9 floor keeps the band at the families' values (t <= 1450 for the
+    power kinds, 14 for log:1) where it always was.
+    """
+    return np.maximum(1e-9, 128 * 2.0**-53 * np.abs(t))
 
 
 @dataclass(frozen=True)
@@ -160,33 +180,17 @@ class RhoSpec:
     def floor_at_int(self, k) -> np.ndarray:
         """floor(rho(k)) for integer k >= 1, exact; vectorised over arrays.
 
-        A float pass settles most elements; the rest go to floor_at_sqrt(k*k).
+        Past the constant kind's closed form: the floor of t = value(k), and
+        floor_at_sqrt(k*k) where |t - round(t)| < _float_band(t).
         """
         karr = np.atleast_1d(np.asarray(k, dtype=np.int64))
         if self.kind == "constant":
             out = np.full_like(karr, math.floor(self.param))
-            unsettled = np.zeros(len(karr), dtype=bool)
-        elif self.kind == "power":
-            p, q = self.param.numerator, self.param.denominator
-            out = np.floor(np.power(karr.astype(np.float64), float(self.param)) + 1e-12)
-            out = out.astype(np.int64)
-            kmax, tmax = int(karr.max(initial=1)), int(out.max(initial=1)) + 2
-            if not (kmax**p < 2**62 and tmax**q < 2**62):
-                karr, out = karr.astype(object), out.astype(object)  # Python ints
-            # floor(k^(p/q)) = r  <=>  r^q <= k^p < (r+1)^q, in int64 where it
-            # fits; the float guess is off by at most 1, so one round each way
-            # settles it
-            kp = karr**p
-            out[(out + 1) ** q <= kp] += 1
-            out[out**q > kp] -= 1
-            unsettled = ((out + 1) ** q <= kp) | (out**q > kp)
         else:
             t = self.value(karr.astype(np.float64))
             out = np.floor(t).astype(np.int64)
-            unsettled = np.abs(t - np.round(t)) < _BOUNDARY_BAND
-        for i in np.nonzero(unsettled)[0]:
-            out[i] = self.floor_at_sqrt(int(karr[i]) ** 2)
-        out = out.astype(np.int64, copy=False)
+            for i in np.nonzero(np.abs(t - np.round(t)) < _float_band(t))[0]:
+                out[i] = self.floor_at_sqrt(int(karr[i]) ** 2)
         return out if np.ndim(k) else int(out[0])
 
     def floor_at(self, x: float) -> int:
@@ -198,9 +202,9 @@ class RhoSpec:
     def floor_at_sqrt(self, u) -> int:
         """floor(rho(sqrt(u))) for rational u >= 0 (an int or a Fraction), exact.
 
-        The one scalar floor oracle.  Power kind a = p/q, u = num/den: the
+        The one exact scalar oracle.  Power kind a = p/q, u = num/den: the
         largest r with r^(2q) <= num^p // den^p, by integer Newton.  Log kinds:
-        a float pass, rechecked at 60 digits within _BOUNDARY_BAND of an integer.
+        a float pass, rechecked at 60 digits (``decimal``) within _float_band.
         """
         u = Fraction(u)
         if u < 0:
@@ -225,16 +229,16 @@ class RhoSpec:
         # past the double range of u, exp(log(u)/2) stays within 1e-13 relative
         x = math.sqrt(u) if u < 2**1000 else math.exp((math.log(num) - math.log(den)) / 2)
         t = float(self.value(x))
-        r = math.floor(t)
-        if min(t - r, r + 1 - t) >= _BOUNDARY_BAND:
-            return r
-        with mpmath.workdps(60):
-            lg = mpmath.log(1 + mpmath.sqrt(mpmath.mpf(num) / den))
-            t = self.param * lg if self.kind == "log_scaled" else lg ** mpmath.mpf(self.param)
-            fl = mpmath.floor(t)
-            if abs(t - fl) < mpmath.mpf(10) ** -40 and t != fl:
-                raise ArithmeticError(f"floor(rho(sqrt({u}))) undecidable at 60 digits")
-            return int(fl)
+        if abs(t - round(t)) >= _float_band(t):
+            return math.floor(t)
+        ctx = Context(prec=60)
+        lg = ctx.ln(ctx.add(1, ctx.sqrt(ctx.divide(Decimal(num), Decimal(den)))))
+        c = Decimal(self.param)  # exact: the float's binary value
+        t = ctx.multiply(c, lg) if self.kind == "log_scaled" else ctx.power(lg, c)
+        fl = t.to_integral_value(rounding=ROUND_FLOOR)
+        if ctx.subtract(t, fl) < Decimal("1e-40") and t != fl:
+            raise ArithmeticError(f"floor(rho(sqrt({u}))) undecidable at 60 digits")
+        return int(fl)
 
     def descriptor(self) -> str:
         """Text that ``parse_rho`` reads back as this RhoSpec."""
@@ -393,24 +397,27 @@ def perturbed_family(rho: RhoSpec) -> MeasureFamily:
     )
 
 
+# kind -> (constructor, default parameter, bound keeping rho below 2^63 on int64)
+_FLOAT_RHOS = {
+    "log": (rho_log, 1.0, _MAX_LOG_SCALE),
+    "logpow": (rho_log_power, None, _MAX_LOG_POWER),
+    "const": (rho_constant, 0.0, 2.0**63),
+}
+
+
 def parse_rho(text: str) -> RhoSpec:
     parts = text.split(":")
     kind = parts[0]
     try:
         if kind == "power":
             return rho_power(Fraction(parts[1]))
-        if kind == "log":
-            return rho_log(float(parts[1]) if len(parts) > 1 else 1.0)
-        if kind == "logpow":
-            c = float(parts[1])
-            if not c < _MAX_LOG_POWER:
-                raise ConfigError(
-                    f"log power must be below {_MAX_LOG_POWER:.4f}, where log(1+x)^c "
-                    f"reaches 2^63 at x = 2^63, got {c}"
-                )
-            return rho_log_power(c)
-        if kind == "const":
-            return rho_constant(float(parts[1]) if len(parts) > 1 else 0.0)
+        if kind in _FLOAT_RHOS:
+            make, default, top = _FLOAT_RHOS[kind]
+            x = default if len(parts) == 1 and default is not None else float(parts[1])
+            if not x < top:
+                raise ConfigError(f"{kind} parameter must be below {top:.6g}, where rho "
+                                  f"reaches 2^63 on int64 arguments, got {x}")
+            return make(x)
     except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rho descriptor {text!r}: {exc}") from exc
     raise ConfigError(f"unknown rho kind {kind!r} in {text!r}")

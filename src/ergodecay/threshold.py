@@ -209,6 +209,7 @@ def cesaro_expos(rho: RhoSpec, N: int, beta: float, alpha: float) -> dict:
 
 
 _AUDIT_BAND = (0.05, 0.95)  # away from beta = 0, where the bound blows up
+_ROW_BETAS = 64  # least number of band points tabulated per N
 
 
 def transform_bound_audit(
@@ -216,21 +217,17 @@ def transform_bound_audit(
     N_list,
     eps: float | None = None,
     grid: int = 1 << 20,
-    row_betas: int = 64,
 ) -> dict:
     """Tabulate |mu_hat_N| against N^(-eps/7) + L_{floor(rho(N))}/(N ||beta||)
     over the frequency grid points in ``_AUDIT_BAND``, and track the triviality functional's grid max:
     the computable shadow of asymptotic triviality (or its failure).
 
-    ``row_betas`` (>= 1) sets how many band points get a row per N: every
-    ``max(1, len(band) // row_betas)``-th one, so at least ``row_betas`` rows
-    (every band point when the band has fewer).
+    Each N gets rows at every ``max(1, len(band) // _ROW_BETAS)``-th band
+    point, so at least ``_ROW_BETAS`` rows (every point of a smaller band).
     """
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
-    if row_betas < 1:
-        raise ValueError(f"row_betas must be >= 1, got {row_betas}")
     eps = rho.epsilon if eps is None else float(eps)
     gam = np.arange(grid) / grid
     band = _AUDIT_BAND
@@ -261,7 +258,7 @@ def transform_bound_audit(
                 "L_last": L_last,
             }
         )
-        step = max(1, len(gb) // row_betas)
+        step = max(1, len(gb) // _ROW_BETAS)
         for i in range(0, len(gb), step):
             rows.append(
                 {

@@ -124,6 +124,8 @@ def test_bad_family_exit_2(tmp_path):
         ["weyl-audit", "--grid", "8", "--n", ""],
         ["fourier", "--family", "squares", "--n", "4", "--grid", "1"],
         ["fourier", "--family", "squares", "--n", "0"],
+        ["fourier", "--family", "perturbed:log:inf", "--n", "4", "--grid", "8"],
+        ["fourier", "--family", "perturbed:const:1e19", "--n", "4", "--grid", "8"],
         ["triviality", "--family", "squares", "--n", "4", "--tol", "0"],
         ["triviality", "--family", "squares", "--n", "4", "--tol", "nan"],
         ["triviality", "--family", "squares", "--n", "4", "--grid-cap", "1"],
@@ -144,10 +146,6 @@ def test_bad_family_exit_2(tmp_path):
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "0", "--grid", "1024"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1"],
         ["threshold-audit", "--rho", "power:1/4", "--n-list", ""],
-        ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1024",
-         "--row-betas", "0"],
-        ["threshold-audit", "--rho", "power:1/4", "--n-list", "64", "--grid", "1024",
-         "--row-betas", "-3"],
         ["residues", "--rho", "log:1", "--q", "15", "--n-list", ""],
         ["residues", "--rho", "logpow:400", "--q", "15", "--n-list", "1000"],
         ["cz-check", "--count", "0"],

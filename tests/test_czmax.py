@@ -264,25 +264,27 @@ def test_maximal_monotone_in_list():
 
 
 def test_weak11_point_example():
-    assert weak11_ratio(point_mass(0), [point_mass(0)], [0.5]) == pytest.approx(0.5)
+    # M = 1 at 0; the dyadic lambdas 1, 1/2, ... give 1/2 * 1 at lambda = 1/2
+    assert weak11_ratio(point_mass(0), [point_mass(0)]) == pytest.approx(0.5)
 
 
 def test_weak11_squares_levelset():
+    # M = 1/5 on the five squares; the largest dyadic lambda below it is 1/8
     n = 5
-    ratio = weak11_ratio(point_mass(0), [squares_measure(n)], [1.0 / (2 * n)])
-    assert ratio == pytest.approx(0.5)
+    ratio = weak11_ratio(point_mass(0), [squares_measure(n)])
+    assert ratio == pytest.approx(n / 8)
 
 
 def test_weak11_rows_count_level_sets():
     # M = |phi| for the point mass at 0; its values are 3, 2, 1 (/ 4)
     phi = make_measure([(0, 0.75), (5, -0.5), (9, 0.25j)])
     M = maximal_function(phi, [point_mass(0)])
-    rows = weak11_rows(phi, M, [1.0, 0.5, 0.25, 0.125])
-    assert rows == [(1.0, 0, 0.0), (0.5, 1, 0.5 / 1.5), (0.25, 2, 0.5 / 1.5), (0.125, 3, 0.375 / 1.5)]
-    assert weak11_ratio(phi, [point_mass(0)], [1.0, 0.5, 0.25, 0.125]) == 0.5 / 1.5
-    # the default lambdas: max|phi| halved down to ||phi||_1 / 2^20
-    assert [lam for lam, _, _ in weak11_rows(phi, M)] == [0.75 / (1 << i) for i in range(20)]
-    assert weak11_ratio(phi, [point_mass(0)], [2.0]) == 0.0  # empty level sets
+    rows = weak11_rows(phi, M)
+    # the lambdas: max|phi| halved down to ||phi||_1 / 2^20
+    assert [lam for lam, _, _ in rows] == [0.75 / (1 << i) for i in range(20)]
+    assert rows[:4] == [(0.75, 0, 0.0), (0.375, 2, 0.75 / 1.5), (0.1875, 3, 0.5625 / 1.5),
+                        (0.09375, 3, 0.28125 / 1.5)]  # the top level set is empty
+    assert weak11_ratio(phi, [point_mass(0)]) == 0.75 / 1.5
 
 
 def test_weak11_trivial_ceiling():

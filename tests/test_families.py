@@ -136,6 +136,44 @@ def test_log_floor_recheck_overrules_the_float_pass():
     assert rho_log(1.0).floor_at_sqrt(u) == 39
 
 
+def test_log_power_floor_recheck_overrules_the_float_pass():
+    # x just below exp(40^(1/1.5)) - 1, so log(1 + x)^1.5 is about 1e-35 below
+    # 40; the float pass rounds it to 40 and only the decimal recheck finds 39
+    with mpmath.workdps(60):
+        x0 = mpmath.expm1(mpmath.mpf(40) ** (1 / mpmath.mpf(1.5)))
+        x = Fraction(int(mpmath.floor(x0 * 10**30)), 10**30)
+    u = x * x
+    rho = rho_log_power(1.5)
+    assert math.floor(float(rho.value(math.sqrt(u)))) == 40
+    assert rho.floor_at_sqrt(u) == 39
+
+
+def test_log_floor_recheck_raises_within_1e40_above_an_integer():
+    # log(1 + x) is 3.2e-45 above 40: 60 digits resolve it, but a value that
+    # close may be a rounded integer, so the oracle refuses to decide
+    with mpmath.workdps(100):
+        x = Fraction(int(mpmath.ceil((mpmath.e**40 - 1) * 10**27)), 10**27)
+        above = mpmath.log1p(mpmath.mpf(x.numerator) / x.denominator) - 40
+    assert 1e-45 < above < 1e-44
+    with pytest.raises(ArithmeticError):
+        rho_log(1.0).floor_at_sqrt(x * x)
+
+
+def test_log_power_floors_exact_where_the_float_value_is_ulps_off():
+    # rho(k) is about 1e11 here, so the float pass errs by a few 1e-5, far
+    # past a fixed 1e-9 band: 83302646037.99999807..., 99894454424.0000040...
+    # and 162985056460.99999443...
+    rho = rho_log_power(11.5)
+    ks = np.array([7366, 8488, 12580], dtype=np.int64)
+    want = [83302646037, 99894454424, 162985056460]
+    assert rho.floor_at_int(ks).tolist() == want
+    for k, w in zip(ks.tolist(), want):
+        assert rho.floor_at_int(k) == w
+        assert rho.floor_at(float(k)) == w
+        assert rho.floor_at_sqrt(k * k) == w
+    assert 83356903993 in perturbed_family(rho).measure(7366).sites
+
+
 def test_floor_at_sqrt_matches_direct():
     rho = rho_power(Fraction(1, 4))
     for l in [1, 255, 256, 257, 65535, 65536, 65537]:
@@ -194,8 +232,8 @@ def test_power_floor_exact_at_and_around_block_endpoints():
 
 
 def test_floor_beyond_the_int64_and_float_ranges():
-    # k^3 passes 2^62 near k = 1.66e6, and (floor + 2)^1000 always does, so
-    # every element below goes through the exact scalar oracle
+    # k^3 passes 2^62 near k = 1.66e6, and k^(1/1000) is within the float
+    # band of 1 for every int64 k, so exact floors cannot take int64 powers
     ks = np.array([2, 1_650_000, 1_700_000, 10**9, 2**40 - 1, 2**40, 3**25], dtype=np.int64)
     for a in (Fraction(3, 10), Fraction(1, 1000)):
         got = rho_power(a).floor_at_int(ks)
@@ -207,7 +245,8 @@ def test_floor_beyond_the_int64_and_float_ranges():
 
 
 def test_floor_past_int64_corrects_every_element_exactly():
-    # k^3 passes 2^62 here, so the one-step correction runs on Python ints.
+    # k^3 passes 2^62 here, so the floors come from the float pass and the
+    # Newton oracle on Python ints.
     # Exact floors are nondecreasing, so matching the oracle at both ends of
     # every constant run pins every element of the range.
     rho = rho_power(Fraction(3, 10))
@@ -218,9 +257,53 @@ def test_floor_past_int64_corrects_every_element_exactly():
     assert len(edges) == 3  # k^(3/10) runs from 73.98 to 76.49
     for i in sorted({0, len(ks) - 1, *(int(e) + d for e in edges for d in (-1, 0))}):
         assert floors[i] == exact_power_floor(rho.param, int(ks[i])), int(ks[i])
-    # (floor + 2)^1000 is never an int64, whatever k
+    # k^(1/1000) lies within the band of 1 for every k here: all go to the oracle
     ones = rho_power(Fraction(1, 1000)).floor_at_int(np.arange(1, 5001, dtype=np.int64))
     assert ones.dtype == np.int64 and ones.tolist() == [1] * 5000
+
+
+def _first_k_of_block(a: Fraction, j: int) -> int:
+    """Least k with floor(k^a) >= j, i.e. k^p >= j^q, by bisection."""
+    p, q = a.numerator, a.denominator
+    target = j**q
+    lo, hi = 0, 1 << (target.bit_length() // p + 1)  # lo^p < target <= hi^p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**p < target else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize(
+    "a, count",
+    [(Fraction(3, 10), 300), (Fraction(2, 7), 300), (Fraction(333, 1000), 200)],
+    ids=str,
+)
+def test_power_floor_exact_at_block_edges_below_2_62(a, count):
+    # the float pass errs by ulps of rho(k) here, so the floors of the last
+    # and the first k of each block must come from the oracle
+    rho = rho_power(a)
+    j_top = exact_power_floor(a, 2**62)
+    ks = [k + d for j in range(j_top - count, j_top) for k in [_first_k_of_block(a, j)]
+          for d in (-1, 0)]
+    assert max(ks) < 2**62
+    got = rho.floor_at_int(np.array(ks, dtype=np.int64)).tolist()
+    want = [exact_power_floor(a, k) for k in ks]
+    assert got == want
+    assert want[0::2] == [j - 1 for j in range(j_top - count, j_top)]
+
+
+def test_power_floor_oracle_runs_only_at_fourth_powers(monkeypatch):
+    calls = []
+    real = families.RhoSpec.floor_at_sqrt
+
+    def counted(self, u):
+        calls.append(u)
+        return real(self, u)
+
+    monkeypatch.setattr(families.RhoSpec, "floor_at_sqrt", counted)
+    floors = rho_power(Fraction(1, 4)).floor_at_int(np.arange(1, 100_001, dtype=np.int64))
+    assert calls == [(m**4) ** 2 for m in range(1, 18)]  # 17^4 = 83521 <= 10^5 < 18^4
+    assert np.array_equal(np.nonzero(np.diff(floors))[0] + 2, [m**4 for m in range(2, 18)])
 
 
 def test_floor_at_rejects_negative_and_non_finite():
@@ -445,7 +528,8 @@ def test_power_descriptor_prints_float_only_when_it_round_trips():
 
 
 def test_power_denominator_above_1000_rejected():
-    # exact floors compare r^q with k^p, so q = 10^6 (power:0.142857) never finishes
+    # the exact oracle takes a root of order 2q of k^(2p), so q = 10^6
+    # (power:0.142857) never finishes
     assert parse_rho("power:333/1000").param == Fraction(333, 1000)
     for text in ("power:0.142857", "power:1/1001", "power:0.14285714285714285"):
         with pytest.raises(ConfigError):
@@ -455,11 +539,15 @@ def test_power_denominator_above_1000_rejected():
 
 
 def test_log_power_above_int64_range_rejected():
-    # floors and sites are int64: log(1+x)^c must stay below 2^63 for int64 x
-    rho = parse_rho("logpow:11.56")
-    assert float(rho.value(2.0**63)) < 2.0**63
-    assert rho.floor_at_int(np.array([10**6, 2**62])).dtype == np.int64
-    for text in ("logpow:11.57", "logpow:100", "logpow:400", "logpow:inf"):
+    # floors and sites are int64: log(1+x)^c, C log(1+x) and c0 must stay
+    # below 2^63 for int64 x
+    for text in ("logpow:11.56", "log:1e17", "const:1e18"):
+        rho = parse_rho(text)
+        assert float(rho.value(2.0**63)) < 2.0**63
+        assert rho.floor_at_int(np.array([10**6, 2**62])).dtype == np.int64
+    for text in ("logpow:11.57", "logpow:100", "logpow:400", "logpow:inf",
+                 "log:2.2e17", "log:1e19", "log:inf", "log:nan",
+                 "const:1e19", "const:9223372036854775808", "const:inf", "const:nan"):
         with pytest.raises(ConfigError):
             parse_rho(text)
         with pytest.raises(ConfigError):
