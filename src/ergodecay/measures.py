@@ -32,7 +32,9 @@ are evaluated.  Both brackets use it.  The sigma-deficit bracket passes mu
 and the factor 1 - sigma_hat.  The triviality bracket passes the difference
 measure mu - delta_1 * mu, whose transform is (1 - e(gamma)) mu_hat(gamma),
 above ``_SUBGRID_MIN`` points, and evaluates smaller grids whole (fold,
-inverse FFT, the 1 - e table).
+inverse FFT, the 1 - e table).  When its atoms' offsets share a factor g with
+G, |T| on the G grid has period G/g, and the G/g-point grid of the offsets
+over g gives the maximum (``_triviality_max``).
 """
 
 from __future__ import annotations
@@ -501,8 +503,10 @@ def _pruned_max(sites: np.ndarray, weights: np.ndarray, G: int, degree: int, fac
     The sub-grids of step 1 are part of G's, so every fallback keeps their
     maxima and evaluates the rest, the work of ``_subgrid_max``: when the
     direct work (points times atoms) would exceed B = G log2 L /
-    _DIRECT_TERM_COST, when step 1 keeps more than min(L, B / (2 atoms))
-    points, or when step 3 needs more than P/2 sub-grids.  G0 >= G is
+    _DIRECT_TERM_COST, counting each doubling still to go at the points of
+    the next one, so that a fallback comes before the direct sums it would
+    waste; when step 1 keeps more than min(L, B / (2 atoms)) points; or when
+    step 3 needs more than P/2 sub-grids.  G0 >= G is
     ``_subgrid_max`` itself.  These depend on sizes only.
     """
     n = len(sites)
@@ -535,12 +539,13 @@ def _pruned_max(sites: np.ndarray, weights: np.ndarray, G: int, degree: int, fac
     while m is not None and Gj < G:
         keep = v >= top - margin / Gj - 4 * _FP_SLACK
         m, v = m[keep], v[keep]
+        levels_left = (G // Gj).bit_length() - 1
         Gj *= 2
         odd = np.unique(np.concatenate([2 * m - 1, 2 * m + 1]) & (Gj - 1))
-        spent += len(odd) * n
-        if spent > budget:
+        if spent + levels_left * len(odd) * n > budget:
             m = None
             break
+        spent += len(odd) * n
         m = np.concatenate([2 * m, odd])
         v = np.concatenate([v, _direct_values(sites, weights, Gj, odd, factor)])
         top = max(top, float(v.max()))
@@ -557,9 +562,36 @@ def _pruned_max(sites: np.ndarray, weights: np.ndarray, G: int, degree: int, fac
 
 def _triviality_max(mu: WeightedMeasure, G: int) -> float:
     """max over the G-point grid of |(1 - e) mu_hat|: the whole grid up to
-    _SUBGRID_MIN points, the pruned sub-grids of the difference measure above."""
+    _SUBGRID_MIN points, the pruned sub-grids of the difference measure above.
+
+    Above _SUBGRID_MIN the grid may alias.  Let the difference measure have
+    atoms d_k at s_k, s_0 = min(mu's sites), and g = gcd(G, (s_k - s_0) mod G
+    for all k), a power of two like G.  Then g divides every s_k - s_0, and
+    with t_k = ((s_k - s_0) mod G)/g
+        |F(m/G)| = |e(s_0 m/G) sum_k d_k e(t_k m/(G/g))|,
+    so |F| on the G grid is periodic in m with period G/g and takes its
+    maximum on the first G/g points: the grid of G/g points of the atoms d_k
+    at t_k (for G/g = 1, the one point |sum_k d_k|).  Degree: the integers
+    (s_k - s_0)/g agree with t_k mod G/g and span at most (R + 1)/g, R + 1 =
+    max(mu's sites) + 1 - s_0 the span of the s_k, so the degree
+    d = ceil((R + 1)/2) of ``_degree_and_lipschitz`` gives the bound
+    d' = ceil(d/g) >= ceil((R + 1)/(2g)) for ``_pruned_max``.  Roundoff: the
+    atoms' D = sum |d_k| is unchanged.  With A = max(_SUBGRID_MIN,
+    next_pow2(4 atoms)), L = min(G, A) and L' = min(G/g, A) <= L; two atoms
+    share a residue mod L' only if their sites agree mod g L' = min(G, g A),
+    a multiple of L, so they share one mod L too: M' <= M.  The bound of
+    ``_subgrid_max``, and with it the premise of _FP_SLACK, carries over.
+    The difference measure of every CLI family has atoms at s and s + 1, so
+    g = 1 there and the call is unchanged.
+    """
     if G > _SUBGRID_MIN:
-        return _pruned_max(*_difference_measure(mu), G, _degree_and_lipschitz(mu)[0])
+        sites, weights = _difference_measure(mu)
+        degree = _degree_and_lipschitz(mu)[0]
+        offsets = (sites - mu.sites[0]) & (G - 1)  # exact mod G, wrapping included
+        g = int(np.gcd.reduce(offsets, initial=G))
+        if g == 1:
+            return _pruned_max(sites, weights, G, degree)
+        return _pruned_max(offsets // g, weights, G // g, -(-degree // g))
     return float(np.max(_triviality_on_grid(mu, G)))
 
 
@@ -747,6 +779,8 @@ def certify_sup_below(
     selection scan runs later on the few rejections that can lower its
     reported minimum.  Without counts the grids decide alone.
     """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     if mu.n_atoms == 0:
         return True, 0.0, 0.0, 0
     if residue_counts is not None:

@@ -545,6 +545,90 @@ def test_long_interval_sigma_deficit_falls_back_to_every_subgrid():
     assert rows[:2] == [0, 2] and sorted(rows) == [0, 1, 2, 3]
 
 
+def test_pruned_max_falls_back_before_direct_sums_it_would_waste():
+    # two peaks of 1024 atoms: the pruning grid is floored at L = 2^16 >> 8d,
+    # and the cells kept at 2^17, counted again for 2^18, exceed the budget
+    mu = _two_peaks(N=1024)
+    G = 1 << 18
+    got, rows, direct = _traced_pruned_max(mu.sites, mu.weights, G, _atoms_degree(mu.sites))
+    assert got == _subgrid_max(mu.sites, mu.weights, G)
+    assert direct == 0 and rows == [0, 1, 2, 3]
+
+
+# -- aliased triviality grids: offsets sharing a factor g with G ----------------
+
+
+def _difference_roundoff(mu, G):
+    """Twice ``_subgrid_max``'s first-order bound E + 3u D for Delta mu, with
+    every one of its atoms on one residue (M = atoms) and L = G."""
+    sites, weights = _difference_measure(mu)
+    D = math.fsum(np.abs(weights))
+    per_atom = 22 + math.sqrt(2) * len(sites) + 7 * (G.bit_length() - 1)
+    return 2 * per_atom * 2.0**-53 * D
+
+
+@st.composite
+def _aliased_cases(draw):
+    """Runs of one weight each, adjacent or apart, whose ends are all s_0 mod
+    g, anywhere in [-3G, 3G] and spanning up to about 2G (so offsets wrap)."""
+    G = draw(st.sampled_from([1 << 17, 1 << 20]))
+    g = draw(st.sampled_from([2, 8, 1 << 10]))
+    start = draw(st.integers(-3 * G, 3 * G))
+    part = st.integers(-64, 64).map(lambda k: k / 64)
+    sites, weights = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        start += g * draw(st.sampled_from([0, 1, 3, draw(st.integers(0, 2 * G // g // 5))]))
+        length = g * draw(st.integers(1, 6))
+        w = complex(draw(part), draw(part))
+        sites.append(np.arange(start, start + length, dtype=np.int64))
+        weights.append(np.full(length, w, dtype=np.complex128))
+        start += length
+    mu = _from_arrays(np.concatenate(sites), np.concatenate(weights))
+    assume(mu.n_atoms > 0)
+    return G, mu
+
+
+@settings(max_examples=40, deadline=None)
+@given(_aliased_cases())
+@example((1 << 17, _uniform_on(np.arange(5, 5 + 3 * 8, dtype=np.int64))))  # g = 24 without G
+@example((1 << 20, _uniform_on(np.arange(-7, -7 + 5 * 1024, dtype=np.int64))))
+def test_aliased_triviality_max_matches_every_subgrid(case):
+    G, mu = case
+    want = _subgrid_max(*_difference_measure(mu), G)
+    assert abs(measures._triviality_max(mu, G) - want) <= _difference_roundoff(mu, G)
+
+
+@pytest.mark.parametrize("spec", ["squares", "perturbed:power:1/4", "rotated:quadratic"])
+def test_triviality_max_of_adjacent_sites_is_the_pruned_max_bit_for_bit(spec):
+    mu, G = parse_family(spec).measure(180), 1 << 20
+    degree = measures._degree_and_lipschitz(mu)[0]
+    assert measures._triviality_max(mu, G) == measures._pruned_max(*_difference_measure(mu), G, degree)
+
+
+def test_triviality_max_of_an_interval_reads_a_small_grid(monkeypatch):
+    # Delta sigma_20 has atoms at 1 and 2^20 + 1: at G = 2^22 the period is 4
+    mu, G = sigma_n(0, 20), 1 << 22
+    want = _subgrid_max(*_difference_measure(mu), G)
+    sizes = []
+    ifft = np.fft.ifft
+
+    def counting_ifft(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    got = measures._triviality_max(mu, G)
+    assert sizes == [4]
+    assert abs(got - want) <= _difference_roundoff(mu, G)
+    assert got == pytest.approx(2.0 / (1 << 20), rel=1e-12)  # |1 - e(2^20 m/G)| / 2^20
+
+
+def test_triviality_max_of_a_grid_length_interval_is_zero():
+    # both atoms of Delta mu fall on one residue mod G: |T| = |w - w| on the grid
+    G = 1 << 17
+    assert measures._triviality_max(_uniform_on(np.arange(1, G + 1, dtype=np.int64)), G) == 0.0
+
+
 # -- triviality_sup -----------------------------------------------------------
 
 
@@ -657,6 +741,20 @@ def grids_evaluated(monkeypatch):
 def test_certify_sup_below_grid_sequence(threshold, grid_cap, grids, grids_evaluated):
     certify_sup_below(uniform_zero_based_family().measure(5), threshold, grid_cap=grid_cap)
     assert grids_evaluated == grids
+
+
+def test_certify_sup_below_rejects_a_nan_threshold(grids_evaluated):
+    with pytest.raises(ValueError, match="NaN"):
+        certify_sup_below(squares_measure(50), float("nan"))
+    assert grids_evaluated == []
+
+
+@pytest.mark.parametrize("threshold, verdict", [(math.inf, True), (-math.inf, False)])
+def test_certify_sup_below_infinite_thresholds_decide_on_the_coarse_grid(
+    threshold, verdict, grids_evaluated
+):
+    assert certify_sup_below(squares_measure(50), threshold)[0] is verdict
+    assert grids_evaluated == [4096]
 
 
 def test_certify_sup_below_doubles_when_the_estimate_stalls(grids_evaluated):

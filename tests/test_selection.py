@@ -3,6 +3,7 @@ import json
 import math
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from ergodecay import (
@@ -21,7 +22,8 @@ from ergodecay import (
 )
 
 
-from ergodecay import selection
+from ergodecay import measures, selection
+from ergodecay.czmax import sigma_n
 from helpers import uniform_dyadic_family, uniform_zero_based_family
 
 
@@ -152,6 +154,43 @@ def test_select_scan_stall_report_at_cap_8000():
         "search_cap": 8000,
         "chosen_so_far": [1],
     }
+
+
+def test_sigma_n_scan_stalls_with_fine_grids_of_few_points(monkeypatch):
+    # the paper's smoothing measures sigma_n, uniform on {1..2^n}: Delta sigma_n
+    # has atoms 2^n apart, so a grid G > 2^16 has period G/2^n and costs a few
+    # points; every sub-grid would be 2^22 points for n = 20 alone
+    family = MeasureFamily(
+        "uniform-dyadic", lambda n: sigma_n(0, n, size_cap=1 << 22), lambda n: 1 << n
+    )
+    assert select_subsequence(family, 2, search_cap=22).chosen == [1, 8]
+    points, whole, fine = [0], [0], {}
+    ifft, evaluate = np.fft.ifft, measures._triviality_max
+
+    def counting_ifft(a, *args, **kwargs):
+        points[0] += np.size(a)
+        return ifft(a, *args, **kwargs)
+
+    def recording(mu, G):
+        before = points[0]
+        value = evaluate(mu, G)
+        if G > measures._SUBGRID_MIN:
+            fine[mu.n_atoms.bit_length() - 1, G] = points[0] - before
+        else:
+            whole[0] += G
+        return value
+
+    monkeypatch.setattr(np.fft, "ifft", counting_ifft)
+    monkeypatch.setattr(measures, "_triviality_max", recording)
+    with pytest.raises(SelectionStalled) as exc:
+        select_subsequence(family, 3, search_cap=22, grid_cap=1 << 22)
+    report = exc.value.report
+    assert (report["rejected"], report["uncertifiable"]) == (12, 2)
+    assert report["best_sup_lower"] == 0.0 and report["chosen_so_far"] == [1, 8]
+    # n = 15..20 refine to the grid 2^(n+2), which has period 4
+    assert sorted(fine) == [(n, 1 << (n + 2)) for n in range(15, 21)]
+    assert all(p <= 64 for p in fine.values()), fine
+    assert points[0] <= whole[0] + 64 * len(fine)
 
 
 @pytest.mark.parametrize("family", ["perturbed:power:0.25", "perturbed:log:1"])
