@@ -14,6 +14,7 @@ from .czmax import (
     DyadicInterval,
     cz_decompose,
     cz_report,
+    cz_tree,
     e1_e2_diagnostics,
     maximal_function,
     sigma_deficit_sup,
@@ -90,7 +91,6 @@ from .threshold import (
 )
 from .weyl import (
     ApproxCertificate,
-    convergents,
     dirichlet_approx,
     exact_frequency,
     gauss_sum,

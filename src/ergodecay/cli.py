@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .czmax import cz_decompose, cz_report, maximal_function, weak11_ratio, weak11_rows
+from .czmax import cz_decompose, cz_report, cz_tree, maximal_function, weak11_ratio, weak11_rows
 from .dynsys import (
     convergence_trace,
     cyclic_system,
@@ -137,8 +137,9 @@ def cmd_cz_check(args) -> int:
     for case in range(args.count):
         phi = _random_dyadic_phi(rng)
         lams = _dyadic_lambdas(phi, args.lambdas)
+        tree = cz_tree(phi, min(lams))  # tall enough for every lambda
         for lam in lams:
-            dec = cz_decompose(phi, lam)
+            dec = cz_decompose(phi, lam, tree)
             rep = cz_report(phi, dec)
             worst = max(worst, rep["reconstruction_error"])
             carleson_ok = rep["carleson_sum"] <= phi.total_variation / lam

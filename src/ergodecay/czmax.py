@@ -34,6 +34,7 @@ from .measures import (
 __all__ = [
     "DyadicInterval",
     "CZDecomposition",
+    "cz_tree",
     "cz_decompose",
     "cz_report",
     "maximal_function",
@@ -84,7 +85,40 @@ class CZDecomposition:
         return sum(q.length for q in self.selected)
 
 
-def cz_decompose(phi: WeightedMeasure, lam: float) -> CZDecomposition:
+def _top_scale(phi: WeightedMeasure, lam: float) -> int:
+    """Least s with 2^s * lam >= ||phi||_1: no interval of scale s is selected."""
+    if not lam > 0:  # NaN too
+        raise ValueError(f"lambda must be positive, got {lam!r}")
+    if phi.n_atoms == 0:
+        raise ValueError("phi must not be identically zero")
+    s_top = 0
+    while (1 << s_top) * lam < phi.total_variation:
+        s_top += 1
+        if s_top > _MAX_TOP_SCALE:
+            raise ResourceCapError(
+                f"cz_decompose: lambda={lam:g} needs top scale > {_MAX_TOP_SCALE}"
+            )
+    return s_top
+
+
+def cz_tree(phi: WeightedMeasure, lam: float) -> tuple:
+    """(phi, keys, sums, ups): per scale s below lam's top scale, the sorted k
+    of the Q_{s,k} that meet the support, their |phi|-sums and (s > 0) each
+    child's parent index; ``cz_decompose`` reads it for every lambda >= lam."""
+    keys, sums, ups = [phi.sites], [np.abs(phi.weights)], []
+    for _ in range(_top_scale(phi, lam) - 1):
+        parents = keys[-1] >> 1  # sorted: a parent starts wherever this changes
+        first = np.concatenate([[True], parents[1:] != parents[:-1]])
+        up = np.cumsum(first) - 1
+        halves = np.zeros((2, int(up[-1]) + 1))  # left and right child sums
+        halves[keys[-1] & 1, up] = sums[-1]
+        keys.append(parents[first])
+        sums.append(halves[0] + halves[1])
+        ups.append(up)
+    return phi, keys, sums, ups
+
+
+def cz_decompose(phi: WeightedMeasure, lam: float, tree: tuple | None = None) -> CZDecomposition:
     """Stopping-time decomposition phi = g + sum b_{s,k}.
 
     Selected intervals are the maximal dyadic Q with average of |phi| over Q
@@ -95,57 +129,44 @@ def cz_decompose(phi: WeightedMeasure, lam: float) -> CZDecomposition:
 
     The tree of |phi|-sums holds only the dyadic intervals that meet the
     support (parent key = child key >> 1, an absent child adds 0), so the
-    work follows the atoms, not their span.  g and sum b are one measure each.
+    work follows the atoms, not their span.  A lambda sweep passes each call
+    one ``cz_tree(phi, min(lams))``; a tree of another phi object, or one too
+    short for lam, raises ValueError.  g and sum b are one measure each.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if phi.n_atoms == 0:
-        raise ValueError("phi must not be identically zero")
-
-    s_top = 0
-    while (1 << s_top) * lam < phi.total_variation:
-        s_top += 1
-        if s_top > _MAX_TOP_SCALE:
-            raise ResourceCapError(
-                f"cz_decompose: lambda={lam:g} needs top scale > {_MAX_TOP_SCALE}"
-            )
-
+    s_top = _top_scale(phi, lam)
+    tree_phi, keys, sums, ups = cz_tree(phi, lam) if tree is None else tree
+    if tree_phi is not phi or len(keys) < s_top:
+        raise ValueError("tree must come from cz_tree(phi, lam') with lam' <= lam")
     # top-scale intervals have average <= tv / 2^s_top <= lam: never selected,
     # so descending from s_top-1 finds exactly the maximal intervals.
-    keys, sums, ups = [phi.sites], [np.abs(phi.weights)], []
-    for _ in range(s_top - 1):
-        parents, up = np.unique(keys[-1] >> 1, return_inverse=True)
-        halves = np.zeros((2, len(parents)))  # left and right child sums
-        halves[keys[-1] & 1, up] = sums[-1]
-        keys.append(parents)
-        sums.append(halves[0] + halves[1])
-        ups.append(up)
-
-    selected = []
-    covered = np.zeros(len(keys[-1]), dtype=bool)
+    picked, covered = [], np.False_  # the keys selected at each scale, top down
     for s in range(s_top - 1, -1, -1):
         mask = (sums[s] > lam * (1 << s)) & ~covered
-        selected += [DyadicInterval(s, k) for k in keys[s][mask].tolist()]
+        picked.append(keys[s][mask])
         covered = (covered | mask)[ups[s - 1]] if s else None  # onto children
-    selected.sort(key=lambda q: q.start)
-
-    starts = np.array([q.start for q in selected], dtype=np.int64)
-    lengths = np.array([q.length for q in selected], dtype=np.int64)
-    bounds = np.searchsorted(phi.sites, [starts, starts + lengths]).T.tolist()
-    means = [_csum(phi.weights[i:j]) / q.length for q, (i, j) in zip(selected, bounds)]
+    s = np.repeat(np.arange(s_top - 1, -1, -1), [len(p) for p in picked])
+    k = np.concatenate([np.zeros(0, dtype=np.int64), *picked])
+    order = np.argsort(k << s)
+    s, k = s[order], k[order]
+    starts, lengths = k << s, np.left_shift(1, s)
+    lo, hi = np.searchsorted(phi.sites, [starts, starts + lengths])
+    counts = hi - lo
+    means = (phi.weights[lo] + 0.0) / lengths  # lone atom w: _csum(w) is w + 0.0 (no -0.0)
+    for i in np.flatnonzero(counts > 1).tolist():
+        means[i] = _csum(phi.weights[lo[i] : hi[i]]) / int(lengths[i])
     # every site of every selected interval in order, with phi and the mean there
-    span = np.arange(int(lengths.sum()), dtype=np.int64)
-    span += np.repeat(starts + lengths - np.cumsum(lengths), lengths)
-    inside = np.isin(phi.sites, span)
+    shift = np.cumsum(lengths) - lengths - starts  # site x is span[x + shift]
+    span = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(shift, lengths)
+    at = np.arange(int(counts.sum())) + np.repeat(lo + counts - np.cumsum(counts), counts)
     on_span = np.zeros(len(span), dtype=np.complex128)
-    on_span[np.searchsorted(span, phi.sites[inside])] = phi.weights[inside]
+    on_span[phi.sites[at] + np.repeat(shift, counts)] = phi.weights[at]
     mean_on_span = np.repeat(means, lengths)
     good = _from_arrays(
-        np.concatenate([phi.sites[~inside], span]),
-        np.concatenate([phi.weights[~inside], mean_on_span]),
+        np.concatenate([np.delete(phi.sites, at), span]),
+        np.concatenate([np.delete(phi.weights, at), mean_on_span]),
     )
     bad_sum = _from_arrays(span, on_span - mean_on_span)
-    return CZDecomposition(lam, good, bad_sum, tuple(selected))
+    return CZDecomposition(lam, good, bad_sum, tuple(map(DyadicInterval, s.tolist(), k.tolist())))
 
 
 def cz_report(phi: WeightedMeasure, dec: CZDecomposition) -> dict:

@@ -191,10 +191,11 @@ def convergence_trace(
             x = int(rng.integers(0, sys.modulus))
             x_repr = x
         avgs = [weighted_average(sys, f, mu, x) for mu in measures]
+        a = np.array(avgs, dtype=np.complex128)
         oscs = [0.0] * (K + 1)  # oscs[k]: diameter of avgs[k:], built from the back
         for k in reversed(range(K)):
-            head = max((abs(avgs[k] - v) for v in avgs[k + 1 :]), default=0.0)
-            oscs[k] = max(oscs[k + 1], head)
+            d = a[k] - a[k + 1 :]  # np.hypot is abs() of a Python complex, bit for bit
+            oscs[k] = max(oscs[k + 1], float(np.max(np.hypot(d.real, d.imag), initial=0.0)))
         for k in range(K):
             rows.append(
                 {

@@ -7,6 +7,7 @@ integer arithmetic rather than floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,10 +16,11 @@ import numpy as np
 
 from .measures import _MAX_EXACT_SITE, _csum, _two_product, _unit_phases
 
+_CACHED_PERIOD_MAX = 1 << 14  # cached arrays: <= 256 KB each, for 64 (N, D), 16 D
+
 __all__ = [
     "ApproxCertificate",
     "exact_frequency",
-    "convergents",
     "dirichlet_approx",
     "weyl_sum",
     "gauss_sum",
@@ -30,21 +32,6 @@ __all__ = [
 def exact_frequency(beta) -> Fraction:
     """Exact rational surrogate of a frequency (dyadic value of the float)."""
     return beta if isinstance(beta, Fraction) else Fraction(beta)
-
-
-def convergents(x: Fraction):
-    """Continued-fraction convergents p/q of x >= 0, in increasing-q order."""
-    num, den = x.numerator, x.denominator
-    p_prev, q_prev = 1, 0
-    p, q = num // den, 1
-    yield Fraction(p, q)
-    num, den = den, num - (num // den) * den
-    while den != 0:
-        a = num // den
-        num, den = den, num - a * den
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        yield Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -132,22 +119,42 @@ def _residue_sum(N: int, m: int, D: int) -> complex:
 
     The one residue-class transform behind both ``weyl_sum`` (N terms at a
     dyadic frequency m/D) and ``gauss_sum`` (one full period, N = D = q).
+    The residues s with counts c, and the table e(k / D) whose entry s*m mod
+    D is the phase of s, come from small caches for D <= _CACHED_PERIOD_MAX.
+    np.exp gives an angle the same bits anywhere in an array, and ``fsum``
+    rounds the exact sum of the split products once: the same double.
     """
-    j = np.arange(1, D + 1, dtype=np.int64)
-    squares = j * j % D  # one period: (j + D)^2 = j^2 (mod D)
-    full, rest = divmod(N, D)
-    counts = full * np.bincount(squares, minlength=D) + np.bincount(
-        squares[:rest], minlength=D
-    )
-    s = np.flatnonzero(counts)
-    phases = np.exp((2j * math.pi) * ((s * m % D) / D))
-    c = counts[s].astype(np.float64)
+    cached = D <= _CACHED_PERIOD_MAX
+    s, c = (_residue_classes if cached else _residue_classes.__wrapped__)(N, D)
+    phases = _unit_circle(D)[s * m % D] if cached else np.exp((2j * math.pi) * (s * m % D / D))
     re_hi, re_lo = _two_product(c, phases.real)
     im_hi, im_lo = _two_product(c, phases.imag)
     return complex(
         math.fsum(re_hi.tolist() + re_lo.tolist()),
         math.fsum(im_hi.tolist() + im_lo.tolist()),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _residue_classes(N: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues s of j^2 mod D, j = 1..N, and their counts as doubles."""
+    j = np.arange(1, D + 1, dtype=np.int64)
+    squares = j * j % D  # one period: (j + D)^2 = j^2 (mod D)
+    full, rest = divmod(N, D)
+    counts = full * np.bincount(squares, minlength=D)
+    counts += np.bincount(squares[:rest], minlength=D)
+    s = np.flatnonzero(counts)
+    c = counts[s].astype(np.float64)
+    s.flags.writeable = c.flags.writeable = False  # shared by every caller
+    return s, c
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_circle(D: int) -> np.ndarray:
+    """e(k / D) for k = 0..D-1."""
+    table = np.exp((2j * math.pi) * (np.arange(D) / D))
+    table.flags.writeable = False  # shared by every caller
+    return table
 
 
 def gauss_sum(p: int, q: int | None = None) -> complex:

@@ -2,9 +2,12 @@
 inequality at small indices, dyadic-valued random functions for which
 all block arithmetic is exact in binary floating point, the dense
 Calderon-Zygmund decomposition that ``cz_decompose`` is checked against (one
-measure per selected interval; their concatenation is ``bad_sum``), and the
-CLI command table that guards refactors (criterion 11 and
+measure per selected interval; their concatenation is ``bad_sum``), the
+continued-fraction convergents ``dirichlet_approx`` is checked against, and
+the CLI command table that guards refactors (criterion 11 and
 ``cli_digests.py``)."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +72,22 @@ def uniform_zero_based_family(shift: int = -1) -> MeasureFamily:
         return _uniform_on(np.arange(M, dtype=np.int64))
 
     return MeasureFamily("uniform-zero-based", measure, lambda n: (1 << (n + shift)) - 1)
+
+
+def convergents(x: Fraction):
+    """Continued-fraction convergents p/q of x >= 0, in increasing-q order:
+    the reference ``dirichlet_approx`` is checked against."""
+    num, den = x.numerator, x.denominator
+    p_prev, q_prev = 1, 0
+    p, q = num // den, 1
+    yield Fraction(p, q)
+    num, den = den, num - (num // den) * den
+    while den != 0:
+        a = num // den
+        num, den = den, num - a * den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield Fraction(p, q)
 
 
 def dyadic_phi(rng, span=256, n=24):

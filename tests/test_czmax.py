@@ -4,11 +4,14 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergodecay import (
     ResourceCapError,
     cz_decompose,
     cz_report,
+    cz_tree,
     e1_e2_diagnostics,
     fourier_grid,
     make_measure,
@@ -22,7 +25,7 @@ from ergodecay import (
     weak11_rows,
 )
 from ergodecay.czmax import DyadicInterval, sigma_hat_grid
-from ergodecay.measures import SupBracket, _from_arrays, convolve
+from ergodecay.measures import SupBracket, _csum, _from_arrays, convolve
 
 from helpers import (
     dense_cz_decompose,
@@ -218,6 +221,96 @@ def test_cz_invariants_small_corpus():
         top = float(np.max(np.abs(phi.weights)))
         for i in range(1, 6):
             _check_invariants(phi, top / (1 << i), cz_decompose(phi, top / (1 << i)))
+
+
+def _same_as_dense(phi, lam, dec):
+    selected, good, bad = dense_cz_decompose(phi, lam)
+    bad_sum = _from_arrays(  # the reference pieces, concatenated
+        np.concatenate([np.zeros(0, np.int64), *(b.sites for _, b in bad)]),
+        np.concatenate([np.zeros(0, np.complex128), *(b.weights for _, b in bad)]),
+    )
+    return (
+        dec.selected == selected
+        and _same_measure(dec.good, good)
+        and _same_measure(dec.bad_sum, bad_sum)
+    )
+
+
+@st.composite
+def dyadic_phis(draw):
+    """A random phi of values integer / 256 on up to 30 sites in [-600, 600)."""
+    atoms = draw(
+        st.lists(
+            st.tuples(st.integers(-600, 599), st.integers(-(1 << 16), 1 << 16).filter(bool)),
+            min_size=1, max_size=30, unique_by=lambda a: a[0],
+        )
+    )
+    return make_measure((x, v / 256.0) for x, v in atoms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dyadic_phis(), st.data())
+def test_shared_tree_matches_dense_and_treeless(phi, data):
+    # lambdas from max|phi| / 2^i, ||phi||_1 / 2^j and exact ties: block
+    # averages, where sum |phi| over the block equals lam * 2^s
+    top, tv = float(np.max(np.abs(phi.weights))), phi.total_variation
+    site = int(data.draw(st.sampled_from(phi.sites.tolist())))
+    ties = []
+    for s in range(1, 6):
+        inside = (phi.sites >> s) == (site >> s)
+        ties.append(float(np.sum(np.abs(phi.weights[inside]))) / (1 << s))
+    choices = [top / (1 << i) for i in range(7)] + [tv / (1 << j) for j in range(11)] + ties
+    lams = data.draw(st.lists(st.sampled_from(choices), min_size=1, max_size=8))
+    tree = cz_tree(phi, min(lams))
+    for lam in lams:  # in the drawn order, not sorted
+        dec = cz_decompose(phi, lam, tree)
+        assert _same_as_dense(phi, lam, dec)
+        alone = cz_decompose(phi, lam)
+        assert dec.selected == alone.selected
+        assert _same_measure(dec.good, alone.good)
+        assert _same_measure(dec.bad_sum, alone.bad_sum)
+
+
+def test_tree_of_another_phi_or_too_short_raises():
+    phi = make_measure([(0, 3.0), (1, 1.0), (9, 0.5)])  # tv 4.5, max 3
+    other = make_measure([(0, 3.0), (1, 1.0), (9, 0.5)])  # equal, but not phi
+    with pytest.raises(ValueError, match="tree"):
+        cz_decompose(phi, 0.5, cz_tree(other, 0.5))
+    with pytest.raises(ValueError, match="tree"):
+        cz_decompose(phi, 0.25, cz_tree(phi, 3.0))  # height 1 of the needed 5
+    # a tree built for a larger lambda of the same top scale is tall enough
+    tree = cz_tree(phi, 0.5)
+    assert cz_decompose(phi, 0.3, tree).selected == cz_decompose(phi, 0.3).selected
+
+
+def test_lone_atom_mean_keeps_csum_zero_signs():
+    # signed zero parts: _csum rounds each part with fsum, which drops the sign
+    # of -0.0, so each lone atom's mean must have +0.0 parts there too
+    w = [complex(-0.0, 1.5), complex(-2.0, -0.0), complex(0.75, -0.0), complex(-0.0, -3.0)]
+    phi = make_measure(zip([0, 4, 9, 64], w))
+    for lam in (0.1, 0.3, 0.7, 1.2):
+        dec = cz_decompose(phi, lam)
+        assert _same_as_dense(phi, lam, dec)
+        for q in dec.selected:
+            i, j = np.searchsorted(phi.sites, [q.start, q.stop])
+            if j - i == 1:
+                mean = _csum(phi.weights[i:j]) / q.length
+                got = dec.good.weights[np.searchsorted(dec.good.sites, q.start)]
+                assert np.array([got]).tobytes() == np.array([mean]).tobytes(), (lam, q)
+    assert any(q.length > 1 for q in cz_decompose(phi, 0.3).selected)
+
+
+def test_lambda_must_be_positive_and_not_nan():
+    phi = make_measure([(0, 1.0), (3, -2.0)])
+    for lam in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            cz_decompose(phi, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            cz_tree(phi, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            cz_decompose(phi, lam, cz_tree(phi, 1.0))
+    dec = cz_decompose(phi, math.inf)  # no average exceeds it
+    assert dec.selected == () and dec.good == phi and dec.bad_sum.n_atoms == 0
 
 
 # -- maximal function -------------------------------------------------------------

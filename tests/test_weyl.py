@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergodecay import (
-    convergents,
     dirichlet_approx,
     exact_frequency,
     gauss_sum,
@@ -16,6 +15,9 @@ from ergodecay import (
     weyl_sum,
 )
 from ergodecay.measures import _csum, _unit_phases
+from ergodecay.weyl import _residue_classes, _unit_circle
+
+from helpers import convergents
 
 
 def brute_weyl(N, beta):
@@ -141,11 +143,32 @@ def assert_same_bits(N, beta):
     assert got.real == want.real and got.imag == want.imag, (N, beta, got, want)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 1000, 4096, 5000])
+@pytest.mark.parametrize("N", [1, 2, 3, 63, 64, 65, 256, 1000, 1024, 4096, 5000])
 def test_weyl_sum_bit_identical_on_dyadic_grid(N):
-    for D in (1, 2, 8, 64, 1024):
-        for m in range(D):
-            assert_same_bits(N, m / D)
+    # the full 1024-point grid, first with the residue tables built afresh
+    # (caches cleared), then read back from the caches
+    _residue_classes.cache_clear()
+    _unit_circle.cache_clear()
+    for _ in ("cold", "warm"):
+        for D in (1, 2, 8, 64, 1024):
+            for m in range(D):
+                assert_same_bits(N, m / D)
+
+
+def test_residue_tables_are_read_only_and_bounded():
+    s, c = _residue_classes(100, 64)
+    table = _unit_circle(64)
+    for arr in (s, c, table):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[1]
+    assert len(s) == len(c) and len(table) == 64
+    for N in range(1, 200):
+        weyl_sum(N, 1 / 8)
+        weyl_sum(N, 1 / (1 << (N % 12)))
+    for cached in (_residue_classes, _unit_circle):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert _residue_classes.cache_info().currsize == _residue_classes.cache_info().maxsize
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,6 +189,8 @@ def test_weyl_sum_bit_identical_dyadic_property(N, e, data):
         (1000, 2.375),
         (5000, 7.5),
         (100, -1e-20),  # mod 1 rounds to 1.0
+        # D = 2^15 > _CACHED_PERIOD_MAX: the residue path without caches
+        (40000, 12345 / (1 << 15)),
         # D <= N but N^2 m >= 2^53: the N-term path
         (1 << 18, ((1 << 18) - 1) / (1 << 18)),
     ],
