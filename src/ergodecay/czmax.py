@@ -25,7 +25,7 @@ from .measures import (
     _from_arrays,
     _pruned_max,
     _total_variation,
-    _uniform_on,
+    _uniform_interval,
     bracket_sup,
     convolve,
     triviality_sup,
@@ -236,13 +236,21 @@ def weak11_ratio(phi: WeightedMeasure, measures) -> float:
 
 
 def sigma_n(S_prev: int, n: int, size_cap: int = 1 << 22) -> WeightedMeasure:
-    """Uniform probability measure on {1, ..., 2^(S_prev + n)}."""
+    """Uniform probability measure on {1, ..., 2^(S_prev + n)}.
+
+    An interval measure (``measures._uniform_interval``): its sites are built
+    only when ``.sites`` is read.  Its weight 2^-(S_prev + n) is a power of
+    two, so the fold of ``measures._fold_mod`` is exact in closed form (every
+    count is below 2^53), and its difference measure has two atoms: its
+    certification reads no site.  ``size_cap`` bounds the support all the
+    same, since a reader of ``.sites`` builds it.
+    """
     if S_prev < 0 or n < 1:
         raise ValueError("need S_prev >= 0 and n >= 1")
     M = 1 << (S_prev + n)
     if M > size_cap:
         raise ResourceCapError(f"sigma_n support 2^{S_prev + n} exceeds cap {size_cap}")
-    return _uniform_on(np.arange(1, M + 1, dtype=np.int64), increasing=True)
+    return _uniform_interval(1, M)
 
 
 def sigma_hat_grid(S_prev: int, n: int, m: np.ndarray, G: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -134,21 +135,52 @@ class WeightedMeasure:
     arrays may be read-only views: a uniform measure's weights are one
     complex 1/N viewed with zero stride as N entries (``_uniform_on``),
     which take no memory and raise on any in-place write.
+
+    An interval measure, uniform on the N consecutive sites a, ..., a + N - 1
+    (``_uniform_interval``: every ``czmax.sigma_n``, and ``_uniform_on`` of
+    consecutive sites), stores the int a in place of its sites.  The first
+    read of ``sites`` builds the read-only int64 ``arange(a, a + N)`` and
+    caches it.  The certification path reads only the ends (``_ends``), the
+    closed-form fold of ``_fold_mod`` and the two-atom ``_difference_measure``,
+    so it never builds them.
     """
 
-    sites: np.ndarray  # int64, strictly increasing
+    _sites: np.ndarray | int  # int64, strictly increasing; or an interval's first site
     weights: np.ndarray  # complex128, no exact zeros; possibly a read-only view
     total_variation: float
 
+    @cached_property
+    def sites(self) -> np.ndarray:
+        a = self._start
+        if a is None:
+            return self._sites
+        sites = np.arange(a, a + self.n_atoms, dtype=np.int64)
+        sites.flags.writeable = False
+        return sites
+
+    @property
+    def _start(self) -> int | None:
+        """First site of an interval measure, else None."""
+        return self._sites if isinstance(self._sites, int) else None
+
+    @property
+    def _ends(self) -> tuple[int, int]:
+        """(least site, greatest site) of a nonempty measure, in O(1)."""
+        a = self._start
+        if a is not None:
+            return a, a + self.n_atoms - 1
+        return int(self._sites[0]), int(self._sites[-1])
+
     @property
     def n_atoms(self) -> int:
-        return len(self.sites)
+        return len(self.weights)
 
     @property
     def support_radius(self) -> int:
         if self.n_atoms == 0:
             return 0
-        return int(max(self.sites[-1], -self.sites[0]))
+        first, last = self._ends
+        return max(last, -first)
 
     @property
     def is_probability(self) -> bool:
@@ -238,15 +270,29 @@ def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
     the measure costs O(1) beyond its sites.  Other sites go through
     ``_from_arrays`` with materialised weights, which sorts them and merges
     collisions.  A caller that knows the sites strictly increase passes
-    ``increasing=True`` and skips the O(N) check.
+    ``increasing=True`` and skips the O(N) check.  Strictly increasing sites
+    with last - first = N - 1 are consecutive (an O(1) test), and give the
+    interval measure of ``_uniform_interval``, which keeps only the first.
     """
     N = len(sites)
     if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
         return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
+    if N and sites.item(-1) - sites.item(0) == N - 1:
+        return _uniform_interval(sites.item(0), N)
+    return WeightedMeasure(sites, _uniform_weights(N), N * (1.0 / N))
+
+
+def _uniform_interval(a: int, N: int) -> WeightedMeasure:
+    """Uniform probability measure on the N >= 1 sites a, ..., a + N - 1,
+    stored as the interval (a, N): no site array until ``sites`` is read."""
+    return WeightedMeasure(a, _uniform_weights(N), N * (1.0 / N))
+
+
+def _uniform_weights(N: int) -> np.ndarray:
+    """N entries 1/N: one read-only complex viewed with zero stride."""
     one = np.array([1.0 / N], dtype=np.complex128)
     one.flags.writeable = False
-    weights = np.ndarray((N,), np.complex128, one, strides=(0,))
-    return WeightedMeasure(sites, weights, N * (1.0 / N))
+    return np.ndarray((N,), np.complex128, one, strides=(0,))
 
 
 def _total_variation(weights: np.ndarray) -> float:
@@ -291,17 +337,32 @@ def _fold_mod(mu: WeightedMeasure, G: int) -> np.ndarray:
     The atoms go in blocks of _SUBGRID_MIN, so no n-length temporary is made
     and zero-stride weights are never copied.  ``np.add.at`` adds each
     residue's weights in site order, as ``np.bincount`` does: the same bits.
+    Zero-stride weights store one weight, and it alone decides whether the
+    imaginary parts need binning.
+
+    An interval measure on a, ..., a + N - 1 with weight w puts floor(N/G)
+    atoms on each residue, and one more on the N mod G residues from a mod G
+    up (any G, negative a included).  When w is real and a power of two and
+    N < 2^53, every partial sum k*w of the block path is exact, so its fold
+    is count * w, bit for bit, in O(G) and without the sites.  Other weights
+    take the block path.
     """
     folded = np.zeros(G, dtype=np.complex128)
-    parts = [(folded.real, mu.weights.real)]
-    if mu.weights.imag.any():
-        parts.append((folded.imag, mu.weights.imag))
-    for i0 in range(0, mu.n_atoms, _SUBGRID_MIN):
+    w, N, a = mu.weights, mu.n_atoms, mu._start
+    if a is not None and N < 1 << 53 and w[0].imag == 0 and math.frexp(w[0].real)[0] == 0.5:
+        counts = np.full(G, N // G, dtype=np.int64)
+        counts[: N % G] += 1
+        np.multiply(np.roll(counts, a % G), w[0].real, out=folded.real)
+        return folded
+    parts = [(folded.real, w.real)]
+    if (w[:1] if w.strides == (0,) else w).imag.any():
+        parts.append((folded.imag, w.imag))
+    for i0 in range(0, N, _SUBGRID_MIN):
         block = mu.sites[i0 : i0 + _SUBGRID_MIN]
         # for G = 2^k the mask is the mod, negative sites included (two's complement)
         idx = block & (G - 1) if G & (G - 1) == 0 else np.mod(block, G)
-        for out, w in parts:
-            np.add.at(out, idx, w[i0 : i0 + _SUBGRID_MIN])
+        for out, weights in parts:
+            np.add.at(out, idx, weights[i0 : i0 + _SUBGRID_MIN])
     return folded
 
 
@@ -350,7 +411,16 @@ def _difference_measure(mu: WeightedMeasure) -> tuple[np.ndarray, np.ndarray]:
     w_(i+1) - w_i, one rounding.  Exact zeros are dropped.  The atoms are
     taken in blocks of _SUBGRID_MIN, so no n-length temporary is made beyond
     the kept atoms (a uniform measure on consecutive sites keeps 2).
+
+    An interval measure on a, ..., a + N - 1 with weight w has the atoms
+    (a, w) and (a + N, -w) only: its inner heads w - w are exact zeros, for
+    any w.  They are returned without reading a site, with the block path's
+    dtypes and bits (-w negates both parts, so -0.0 where w has +0.0).
     """
+    a = mu._start
+    if a is not None:
+        w = mu.weights[:1]
+        return np.array([a, a + mu.n_atoms], dtype=np.int64), np.concatenate([w, -w])
     s, w = mu.sites, mu.weights
     n = len(s)
     head_s, head_w, tail_s, tail_w = [], [], [], []
@@ -587,7 +657,7 @@ def _triviality_max(mu: WeightedMeasure, G: int) -> float:
     if G > _SUBGRID_MIN:
         sites, weights = _difference_measure(mu)
         degree = _degree_and_lipschitz(mu)[0]
-        offsets = (sites - mu.sites[0]) & (G - 1)  # exact mod G, wrapping included
+        offsets = (sites - mu._ends[0]) & (G - 1)  # exact mod G, wrapping included
         g = int(np.gcd.reduce(offsets, initial=G))
         if g == 1:
             return _pruned_max(sites, weights, G, degree)
@@ -598,8 +668,8 @@ def _triviality_max(mu: WeightedMeasure, G: int) -> float:
 def _degree_and_lipschitz(mu: WeightedMeasure) -> tuple[int, float]:
     """Trig-poly degree of (1-e)mu_hat after integer centering, and its
     Lipschitz constant 2*pi*(1+2R)*TV."""
-    fmin = int(mu.sites[0])
-    fmax = int(mu.sites[-1]) + 1
+    fmin, last = mu._ends
+    fmax = last + 1
     degree = max(1, (fmax - fmin + 1) // 2)
     lip = TWO_PI * (1.0 + 2.0 * mu.support_radius) * mu.total_variation
     return degree, lip

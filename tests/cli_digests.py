@@ -9,12 +9,16 @@ benchmark workloads (``BENCH_COMMANDS``), then the stalled scans of
 ``STALL_COMMANDS``, then each extra command line given
 as an argument (shell-quoted, without ``--out``), once each in a fresh
 interpreter.  Prints one line per command: its name, exit code, and the
-sha256 of its data file and of its stderr.  Run it against two trees and
+sha256 of its data file and of its stderr.  Then, in this interpreter, the
+library steps that reach ``czmax.sigma_n`` (``sigma_digests``): one line each
+with the sha256 of its JSON result.  Run it against two trees and
 ``diff`` the outputs: an empty diff means byte-identical data files, exit
-codes and error text.  Manifests are left out, since their timestamp varies.
+codes, error text and library results.  Manifests are left out, since their
+timestamp varies.
 """
 
 import hashlib
+import json
 import os
 import shlex
 import subprocess
@@ -22,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+from ergodecay import MeasureFamily, SelectionStalled, select_subsequence, verify_selection
+from ergodecay.czmax import sigma_n
 from helpers import CLI_COMMANDS
 
 # The CLI steps of bench/workloads.py at workload seed 0, copied: the
@@ -88,11 +94,35 @@ def digest(argv: list[str]) -> str:
     return f"{proc.returncode} {data} {_sha256(proc.stderr)}"
 
 
+def sigma_digests() -> dict:
+    """sha256 of the JSON results of the library steps of the benchmark's
+    certify-refine workload, on the family n -> sigma_n(0, n): the k = 2
+    selection state, its ``verify_selection`` rows and the k = 3 stall
+    report at grid cap 2^22.  No CLI command reaches sigma_n."""
+    family = MeasureFamily(
+        "uniform-dyadic", lambda n: sigma_n(0, n, size_cap=1 << 22), lambda n: 1 << n
+    )
+    state = select_subsequence(family, 2, search_cap=22)
+    try:
+        select_subsequence(family, 3, search_cap=22, grid_cap=1 << 22)
+        stall = None
+    except SelectionStalled as exc:
+        stall = exc.report
+    results = {
+        "sigma-select-k2": state.to_dict(),
+        "sigma-verify-k2": verify_selection(family, state),
+        "sigma-select-k3": stall,
+    }
+    return {name: _sha256(json.dumps(v, sort_keys=True).encode()) for name, v in results.items()}
+
+
 def main(extra: list[str]) -> None:
     commands = {**CLI_COMMANDS, **BENCH_COMMANDS, **STALL_COMMANDS}
     commands.update((text, shlex.split(text)) for text in extra)
     for name, argv in commands.items():
         print(f"{name}: {digest(argv)}", flush=True)
+    for name, sha in sigma_digests().items():
+        print(f"{name}: {sha}", flush=True)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from ergodecay.measures import (
     _quarter_witness,
     _subgrid_max,
     _triviality_on_grid,
+    _uniform_interval,
     _uniform_on,
 )
 from helpers import uniform_zero_based_family
@@ -121,9 +122,21 @@ def test_total_variation_is_fsum_for_uniform_families(n):
 
 
 def test_total_variation_is_fsum_for_sigma_n():
+    # sigma_n is an interval measure: it builds its sites on their first read,
+    # and agrees with the measure of materialised sites and weights
     for S_prev, n in ((0, 1), (1, 2), (3, 4), (6, 3), (10, 10)):
         mu = sigma_n(S_prev, n)
-        assert mu.total_variation == _fsum_tv(mu) == 1.0
+        M = 1 << (S_prev + n)
+        old = _from_arrays(np.arange(1, M + 1, dtype=np.int64), np.full(M, 1.0 / M, dtype=complex))
+        assert mu.total_variation == _fsum_tv(mu) == old.total_variation == 1.0
+        assert (mu.n_atoms, mu.support_radius) == (old.n_atoms, old.support_radius) == (M, M)
+        assert "sites" not in vars(mu)
+        sites = mu.sites
+        assert sites is mu.sites and sites.dtype == np.int64
+        assert sites.tobytes() == np.arange(1, M + 1, dtype=np.int64).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            sites[0] = 0
+        assert mu == old
 
 
 def test_total_variation_is_fsum_for_mixed_magnitudes():
@@ -942,6 +955,38 @@ def test_broadcast_weights_give_the_arrays_of_materialised_ones(N, gaps):
         assert _fold_mod(mu, G).tobytes() == _fold_mod(ref, G).tobytes()
     for got, want in zip(_difference_measure(mu), _difference_measure(ref)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _interval(a, N, w):
+    # an interval measure of weight w; ``_uniform_interval`` has w = 1/N
+    one = np.array([w], dtype=complex)
+    one.flags.writeable = False
+    return WeightedMeasure(a, np.ndarray((N,), complex, one, strides=(0,)), N * abs(w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(-(1 << 40), 1 << 40),
+    G=st.one_of(st.integers(1, 13).map(lambda k: 1 << k), st.integers(3, 5000)),
+    w=st.sampled_from([None, 2.0**-3, 2.0**-40, 1.0, 1 / 3, 0.1, -0.25, 0.5 + 0.25j]),
+    data=st.data(),
+)
+def test_interval_fold_and_difference_measure_match_the_block_paths(a, G, w, data):
+    # the closed forms of an interval measure against the block paths of the
+    # same atoms with materialised sites and weights, bit for bit; only a
+    # real power-of-two weight folds in closed form (the others read sites)
+    N = data.draw(st.integers(1, 4 * G + 3), label="N")
+    mu = _uniform_interval(a, N) if w is None else _interval(a, N, w)
+    weight = complex(mu.weights[0])
+    ref = WeightedMeasure(np.arange(a, a + N, dtype=np.int64), np.full(N, weight), mu.total_variation)
+    sites, weights = _difference_measure(mu)
+    assert "sites" not in vars(mu)
+    for got, want in zip((sites, weights), _difference_measure(ref)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert sites.tolist() == [a, a + N] and np.signbit(weights[1].imag)
+    assert _fold_mod(mu, G).tobytes() == _fold_mod(ref, G).tobytes()
+    dyadic = weight.imag == 0 and math.frexp(weight.real)[0] == 0.5
+    assert ("sites" in vars(mu)) == (not dyadic)
 
 
 def _difference_measure_reference(mu):

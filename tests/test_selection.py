@@ -193,6 +193,30 @@ def test_sigma_n_scan_stalls_with_fine_grids_of_few_points(monkeypatch):
     assert points[0] <= whole[0] + 64 * len(fine)
 
 
+def test_sigma_n_certification_builds_no_site_array():
+    # sigma_n is certified from its ends, its closed-form fold and its
+    # two-atom difference measure: no step reads its sites.  sigma_22 is
+    # undecided on the coarse grid at cap 2^22, and accepted on the aliased
+    # 2^24 grid of its difference measure at the default cap.
+    mu = sigma_n(0, 22)
+    verdict, _, _, grid = certify_sup_below(mu, 2**-10, grid_cap=1 << 22)
+    assert (verdict, grid) == (None, 4096)
+    verdict, lower, _, grid = certify_sup_below(mu, 2**-10)
+    assert (verdict, lower, grid) == (True, 2.0**-21 - measures._FP_SLACK, 1 << 24)
+    assert "sites" not in vars(mu)
+    made = []
+
+    def measure(n):
+        made.append(sigma_n(0, n, size_cap=1 << 22))
+        return made[-1]
+
+    family = MeasureFamily("uniform-dyadic", measure, lambda n: 1 << n)
+    with pytest.raises(SelectionStalled):
+        select_subsequence(family, 3, search_cap=22, grid_cap=1 << 22)
+    assert sorted(m.n_atoms for m in made) == [1 << n for n in range(1, 23)]
+    assert not any("sites" in vars(m) for m in made)
+
+
 @pytest.mark.parametrize("family", ["perturbed:power:0.25", "perturbed:log:1"])
 def test_stall_report_same_with_and_without_residue_counts(family):
     # the O(1) witness from the family's counts and the witness from a fold of
