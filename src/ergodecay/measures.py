@@ -40,9 +40,8 @@ over g gives the maximum (``_triviality_max``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -137,31 +136,27 @@ class WeightedMeasure:
     which take no memory and raise on any in-place write.
 
     An interval measure, uniform on the N consecutive sites a, ..., a + N - 1
-    (``_uniform_interval``: every ``czmax.sigma_n``, and ``_uniform_on`` of
-    consecutive sites), stores the int a in place of its sites.  The first
-    read of ``sites`` builds the read-only int64 ``arange(a, a + N)`` and
-    caches it.  The certification path reads only the ends (``_ends``), the
-    closed-form fold of ``_fold_mod`` and the two-atom ``_difference_measure``,
-    so it never builds them.
+    (``_uniform_interval``: every ``czmax.sigma_n``), keeps a as ``_start``
+    and no site array.  The first read of ``sites`` builds the read-only
+    int64 ``arange(a, a + N)`` and caches it.  The certification path reads
+    only the ends (``_ends``), the closed-form fold of ``_fold_mod`` and the
+    two-atom ``_difference_measure``, so it never builds them.
     """
 
-    _sites: np.ndarray | int  # int64, strictly increasing; or an interval's first site
+    sites: np.ndarray  # int64, strictly increasing; built on first read for an interval
     weights: np.ndarray  # complex128, no exact zeros; possibly a read-only view
     total_variation: float
+    _start: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def sites(self) -> np.ndarray:
+    def __getattr__(self, name: str):
+        # only an interval measure lacks ``sites`` until they are read
         a = self._start
-        if a is None:
-            return self._sites
+        if name != "sites" or a is None:
+            raise AttributeError(name)
         sites = np.arange(a, a + self.n_atoms, dtype=np.int64)
         sites.flags.writeable = False
+        object.__setattr__(self, "sites", sites)
         return sites
-
-    @property
-    def _start(self) -> int | None:
-        """First site of an interval measure, else None."""
-        return self._sites if isinstance(self._sites, int) else None
 
     @property
     def _ends(self) -> tuple[int, int]:
@@ -169,7 +164,7 @@ class WeightedMeasure:
         a = self._start
         if a is not None:
             return a, a + self.n_atoms - 1
-        return int(self._sites[0]), int(self._sites[-1])
+        return int(self.sites[0]), int(self.sites[-1])
 
     @property
     def n_atoms(self) -> int:
@@ -270,22 +265,21 @@ def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
     the measure costs O(1) beyond its sites.  Other sites go through
     ``_from_arrays`` with materialised weights, which sorts them and merges
     collisions.  A caller that knows the sites strictly increase passes
-    ``increasing=True`` and skips the O(N) check.  Strictly increasing sites
-    with last - first = N - 1 are consecutive (an O(1) test), and give the
-    interval measure of ``_uniform_interval``, which keeps only the first.
+    ``increasing=True`` and skips the O(N) check.
     """
     N = len(sites)
     if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
         return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
-    if N and sites.item(-1) - sites.item(0) == N - 1:
-        return _uniform_interval(sites.item(0), N)
     return WeightedMeasure(sites, _uniform_weights(N), N * (1.0 / N))
 
 
 def _uniform_interval(a: int, N: int) -> WeightedMeasure:
     """Uniform probability measure on the N >= 1 sites a, ..., a + N - 1,
     stored as the interval (a, N): no site array until ``sites`` is read."""
-    return WeightedMeasure(a, _uniform_weights(N), N * (1.0 / N))
+    mu = WeightedMeasure(None, _uniform_weights(N), N * (1.0 / N))
+    object.__setattr__(mu, "_start", a)
+    object.__delattr__(mu, "sites")
+    return mu
 
 
 def _uniform_weights(N: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -961,7 +962,10 @@ def _interval(a, N, w):
     # an interval measure of weight w; ``_uniform_interval`` has w = 1/N
     one = np.array([w], dtype=complex)
     one.flags.writeable = False
-    return WeightedMeasure(a, np.ndarray((N,), complex, one, strides=(0,)), N * abs(w))
+    mu = WeightedMeasure(None, np.ndarray((N,), complex, one, strides=(0,)), N * abs(w))
+    object.__setattr__(mu, "_start", a)
+    object.__delattr__(mu, "sites")
+    return mu
 
 
 @settings(max_examples=300, deadline=None)
@@ -1025,6 +1029,36 @@ def test_difference_measure_of_a_long_uniform_run_stays_small():
     assert weights.tolist() == [2.0**-22, -(2.0**-22)]
     # the whole-array construction peaks at 76 MB here; one block is 2^16 atoms
     assert peak < 8 << 20, peak
+
+
+def test_interval_fold_and_difference_measure_stay_small():
+    # the closed forms of an interval measure build no site array and read none
+    mu = _uniform_interval(0, 1 << 22)
+    tracemalloc.start()
+    try:
+        fold = _fold_mod(mu, measures._COARSE_GRID)
+        sites, weights = _difference_measure(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "sites" not in vars(mu)
+    assert fold.tolist() == [1024 * 2.0**-22] * measures._COARSE_GRID
+    assert sites.tolist() == [0, 1 << 22]
+    assert weights.tolist() == [2.0**-22, -(2.0**-22)]
+    assert peak < 1 << 20, peak
+
+
+def test_measure_fields_keep_their_public_names():
+    # an interval measure keeps ``sites`` a public field: keyword construction
+    # and ``dataclasses.replace`` see it, and a replaced measure is plain
+    sites, weights = np.arange(3, dtype=np.int64), np.full(3, 1 / 3, dtype=complex)
+    mu = WeightedMeasure(sites=sites, weights=weights, total_variation=1.0)
+    assert [f.name for f in dataclasses.fields(mu) if f.init] == ["sites", "weights", "total_variation"]
+    assert dataclasses.replace(_uniform_on(sites), sites=sites + 1) == _uniform_on(sites + 1)
+    interval = _uniform_interval(0, 3)
+    halved = dataclasses.replace(interval, weights=weights / 2)
+    assert halved._start is None and halved.sites.tolist() == [0, 1, 2]
+    assert repr(interval) == repr(_uniform_on(sites))
 
 
 # -- convolve -----------------------------------------------------------------
