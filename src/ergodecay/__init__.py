@@ -66,14 +66,12 @@ from .measures import (
     fourier_grid,
     make_measure,
     modulate,
-    point_mass,
     triviality_sup,
 )
 from .selection import (
     SelectionState,
     select_subsequence,
     selection_from_json,
-    selection_to_json,
     verify_selection,
 )
 from .threshold import (

@@ -207,7 +207,7 @@ def cmd_weyl_audit(args) -> int:
 def cmd_threshold_audit(args) -> int:
     rho = parse_rho(args.rho)
     Ns = _parse_int_list(args.n_list)
-    report = transform_bound_audit(rho, Ns, eps=args.eps, grid=args.grid)
+    report = transform_bound_audit(rho, Ns, grid=args.grid)
     rows = [
         (args.rho, r["N"], r["beta"], "", "transform", r["value"], r["bound"], r["ratio"])
         for r in report["rows"]
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold-audit", help="transform bound audit for perturbed squares")
     p.add_argument("--rho", required=True, help="e.g. power:1/4, log:1.0, const:0")
     p.add_argument("--n-list", required=True)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--grid", type=int, default=1 << 18)
     common(p)
     p.set_defaults(func=cmd_threshold_audit)

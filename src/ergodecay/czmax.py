@@ -66,9 +66,6 @@ class DyadicInterval:
     def length(self) -> int:
         return 1 << self.s
 
-    def __contains__(self, x: int) -> bool:
-        return self.start <= x < self.stop
-
 
 @dataclass(frozen=True)
 class CZDecomposition:

@@ -8,7 +8,9 @@ Families:
 
 squares is the rho = 0 case of perturbed: both families read mu_n off one
 growing array of sites and its prefix residue counts mod 4 (_prefix_family).
-Squares takes plain k^2 there, never an exact floor.
+Squares takes plain k^2 there, never an exact floor.  The sites strictly
+increase in k (the gaps of k^2 are 2k + 1 and floor(rho) never decreases), so
+mu_n is uniform on n distinct sites.
 
 The rho menu is a closed enum (power, scaled log, powered log, constant) so
 that derivatives and inverses are exact formulas and floor(rho(x)) can be
@@ -298,7 +300,7 @@ def _perturbed_sites(rho: RhoSpec, k_lo: int, k_hi: int) -> np.ndarray:
 
 
 def perturbed_squares_measure(rho: RhoSpec, N: int) -> WeightedMeasure:
-    """(1/N) sum_{k<=N} delta_{k^2 + floor(rho(k))}; colliding atoms merge."""
+    """(1/N) sum_{k<=N} delta_{k^2 + floor(rho(k))}, on N distinct sites."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _uniform_on(_perturbed_sites(rho, 1, N + 1))
@@ -321,9 +323,8 @@ class MeasureFamily:
         return int(self._radius(n))
 
     def residue_counts(self, n: int) -> np.ndarray | None:
-        """c_r(n), the number of mu_n's sites = r mod 4 for r = 0..3, when
-        mu_n is uniform on n distinct sites and the family keeps the counts;
-        else None."""
+        """c_r(n), the number of mu_n's sites = r mod 4 for r = 0..3, for a
+        family that keeps the counts (squares and perturbed:*); else None."""
         return None if self._residue_counts is None else self._residue_counts(n)
 
 
@@ -340,43 +341,42 @@ def _prefix_family(descriptor: str, sites_between) -> MeasureFamily:
     by doubling, so a scan over n computes each site once.
 
     ``sites_between(lo, hi)`` returns the sites of k = lo, ..., hi - 1.  Each
-    growth block also checks once that the sites still strictly increase
-    (they do for squares and for every rho of the menu, which is
-    nondecreasing) and extends the prefix counts: row n of ``counts`` holds
-    c_r(n), the number of the first n sites = r mod 4.  While the sites
-    increase, mu_n is uniform on n distinct sites: it skips ``_uniform_on``'s
-    check, and ``residue_counts`` serves row n.  Otherwise measures go through
-    that check, which merges collisions, and the family has no counts.
+    growth block checks once that the sites still strictly increase, so that
+    mu_n is uniform on n distinct sites, and raises ArithmeticError where they
+    do not (k^2 overflows int64 past k of about 3.04e9).  It extends the
+    prefix counts too: row n of ``counts`` holds c_r(n), the number of the
+    first n sites = r mod 4, which ``residue_counts`` serves.
     """
     sites = np.empty(0, dtype=np.int64)
     counts = np.zeros((1, 4), dtype=np.int64)
-    increasing = True
 
     def prefix(n: int) -> np.ndarray:
-        nonlocal sites, counts, increasing
+        nonlocal sites, counts
         if n < 1:
             raise ValueError("N must be >= 1")
         if n > len(sites):
             size = max(n, 2 * len(sites), _FIRST_BLOCK)
             block = sites_between(len(sites) + 1, size + 1)
-            increasing = increasing and bool(
-                np.all(np.diff(np.concatenate([sites[-1:], block])) > 0)
-            )
-            if increasing:
-                grown = counts[-1] + np.cumsum((block[:, None] & 3) == np.arange(4), axis=0)
-                counts = np.concatenate([counts, grown])
-                counts.flags.writeable = False
+            tail = sites[-1:]
+            rising = np.diff(np.concatenate([tail, block])) > 0
+            if not rising.all():
+                k = len(sites) + 2 - len(tail) + int(np.argmin(rising))
+                raise ArithmeticError(
+                    f"{descriptor}: the site of k = {k} does not exceed the one before"
+                )
+            grown = counts[-1] + np.cumsum((block[:, None] & 3) == np.arange(4), axis=0)
+            counts = np.concatenate([counts, grown])
+            counts.flags.writeable = False
             sites = np.concatenate([sites, block])
             sites.flags.writeable = False  # measures share its prefixes
         return sites[:n]
 
     def measure(n: int) -> WeightedMeasure:
-        view = prefix(n)
-        return _uniform_on(view, increasing=increasing)
+        return _uniform_on(prefix(n))
 
-    def residue_counts(n: int) -> np.ndarray | None:
+    def residue_counts(n: int) -> np.ndarray:
         prefix(n)
-        return counts[n] if increasing else None
+        return counts[n]
 
     # sites k^2 and k^2 + floor(rho(k)) are increasing in k, so the radius is
     # the last site

@@ -75,7 +75,6 @@ __all__ = [
     "WeightedMeasure",
     "SupBracket",
     "make_measure",
-    "point_mass",
     "fourier_at",
     "fourier_grid",
     "triviality_sup",
@@ -177,21 +176,6 @@ class WeightedMeasure:
         first, last = self._ends
         return max(last, -first)
 
-    @property
-    def is_probability(self) -> bool:
-        if self.n_atoms == 0:
-            return False
-        w = self.weights
-        if np.any(w.imag != 0.0) or np.any(w.real < 0.0):
-            return False
-        return abs(math.fsum(w.real) - 1.0) <= 1e-12
-
-    def weight_at(self, site: int) -> complex:
-        i = np.searchsorted(self.sites, site)
-        if i < len(self.sites) and self.sites[i] == site:
-            return complex(self.weights[i])
-        return 0.0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedMeasure):
             return NotImplemented
@@ -201,11 +185,6 @@ class WeightedMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
-    def allclose(self, other: "WeightedMeasure", tol: float = 1e-12) -> bool:
-        if not np.array_equal(self.sites, other.sites):
-            return False
-        return bool(np.all(np.abs(self.weights - other.weights) <= tol))
-
 
 @dataclass(frozen=True)
 class SupBracket:
@@ -214,10 +193,6 @@ class SupBracket:
     lower: float
     upper: float
     grid_size: int
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
 
 def make_measure(atoms) -> WeightedMeasure:
@@ -254,22 +229,17 @@ def _from_arrays(sites: np.ndarray, weights: np.ndarray) -> WeightedMeasure:
     return WeightedMeasure(sites, weights, _total_variation(weights))
 
 
-def _uniform_on(sites: np.ndarray, increasing: bool = False) -> WeightedMeasure:
-    """Uniform probability measure on the given sites: weight 1/N on each.
+def _uniform_on(sites: np.ndarray) -> WeightedMeasure:
+    """Uniform probability measure on N strictly increasing sites: weight 1/N
+    on each.  The caller guarantees the order; it is not checked.
 
-    Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``.  Strictly
-    increasing sites (the families' case) skip its checks: 1/N is nonzero and
-    the total variation N*(1/N) rounds the exact sum of the N weights once, so
-    it is the double ``fsum`` returns.  Their weights are a read-only
-    one-element array holding 1/N, viewed with zero stride as N entries, so
-    the measure costs O(1) beyond its sites.  Other sites go through
-    ``_from_arrays`` with materialised weights, which sorts them and merges
-    collisions.  A caller that knows the sites strictly increase passes
-    ``increasing=True`` and skips the O(N) check.
+    Equal, bit for bit, to ``_from_arrays(sites, np.full(N, 1/N))``: 1/N is
+    nonzero and the total variation N*(1/N) rounds the exact sum of the N
+    weights once, so it is the double ``fsum`` returns.  The weights are a
+    read-only one-element array holding 1/N, viewed with zero stride as N
+    entries, so the measure costs O(1) beyond its sites.
     """
     N = len(sites)
-    if not increasing and N > 1 and not np.all(sites[1:] > sites[:-1]):
-        return _from_arrays(sites, np.full(N, 1.0 / N, dtype=np.complex128))
     return WeightedMeasure(sites, _uniform_weights(N), N * (1.0 / N))
 
 
@@ -299,10 +269,6 @@ def _total_variation(weights: np.ndarray) -> float:
     if not math.isfinite(tv):
         raise ValueError("total variation of measure atoms overflows a double")
     return tv
-
-
-def point_mass(site: int, weight: complex = 1.0) -> WeightedMeasure:
-    return make_measure([(site, weight)])
 
 
 def fourier_at(mu: WeightedMeasure, gamma) -> complex:

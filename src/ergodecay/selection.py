@@ -37,7 +37,6 @@ __all__ = [
     "SelectionState",
     "select_subsequence",
     "verify_selection",
-    "selection_to_json",
     "selection_from_json",
 ]
 
@@ -82,10 +81,6 @@ class SelectionState:
             "achieved_sups": list(self.achieved_sups),
             "bounds": list(self.bounds),
         }
-
-
-def selection_to_json(state: SelectionState) -> str:
-    return json.dumps(state.to_dict(), indent=2)
 
 
 def selection_from_json(text: str) -> SelectionState:

@@ -215,12 +215,12 @@ _ROW_BETAS = 64  # least number of band points tabulated per N
 def transform_bound_audit(
     rho: RhoSpec,
     N_list,
-    eps: float | None = None,
     grid: int = 1 << 20,
 ) -> dict:
-    """Tabulate |mu_hat_N| against N^(-eps/7) + L_{floor(rho(N))}/(N ||beta||)
-    over the frequency grid points in ``_AUDIT_BAND``, and track the triviality functional's grid max:
-    the computable shadow of asymptotic triviality (or its failure).
+    """Tabulate |mu_hat_N| against N^(-eps/7) + L_{floor(rho(N))}/(N ||beta||),
+    eps = rho.epsilon, over the frequency grid points in ``_AUDIT_BAND``, and
+    track the triviality functional's grid max: the computable shadow of
+    asymptotic triviality (or its failure).
 
     Each N gets rows at every ``max(1, len(band) // _ROW_BETAS)``-th band
     point, so at least ``_ROW_BETAS`` rows (every point of a smaller band).
@@ -228,7 +228,7 @@ def transform_bound_audit(
     N_list = [int(N) for N in N_list]
     if not N_list:
         raise ValueError("N_list must not be empty")
-    eps = rho.epsilon if eps is None else float(eps)
+    eps = rho.epsilon
     gam = np.arange(grid) / grid
     band = _AUDIT_BAND
     mask = (gam >= band[0]) & (gam <= band[1])

@@ -157,11 +157,8 @@ def _unit_circle(D: int) -> np.ndarray:
     return table
 
 
-def gauss_sum(p: int, q: int | None = None) -> complex:
+def gauss_sum(p: int, q: int) -> complex:
     """Normalized complete quadratic Gauss sum (1/q) sum_{n<q} e(n^2 p/q)."""
-    if q is None:
-        frac = Fraction(p)
-        p, q = frac.numerator, frac.denominator
     if q < 1:
         raise ValueError("denominator must be positive")
     if math.gcd(p, q) != 1:

@@ -1,4 +1,5 @@
-"""Shared test fixtures: families that genuinely satisfy the selection
+"""Shared test fixtures: point masses and the weight, probability and
+closeness checks of measures, families that genuinely satisfy the selection
 inequality at small indices, dyadic-valued random functions for which
 all block arithmetic is exact in binary floating point, the dense
 Calderon-Zygmund decomposition that ``cz_decompose`` is checked against (one
@@ -7,11 +8,12 @@ continued-fraction convergents ``dirichlet_approx`` is checked against, and
 the CLI command table that guards refactors (criterion 11 and
 ``cli_digests.py``)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from ergodecay import MeasureFamily, ResourceCapError, make_measure, point_mass
+from ergodecay import MeasureFamily, ResourceCapError, WeightedMeasure, make_measure
 from ergodecay.czmax import DyadicInterval
 from ergodecay.measures import _csum, _from_arrays, _uniform_on
 
@@ -40,6 +42,34 @@ CLI_COMMANDS = {
         "--family", "squares", "--indices", "4,8,16", "--x-samples", "4",
     ],
 }
+
+
+def point_mass(site: int) -> WeightedMeasure:
+    return make_measure([(site, 1.0)])
+
+
+def is_probability(mu: WeightedMeasure) -> bool:
+    """Nonnegative real weights summing to 1 within 1e-12."""
+    if mu.n_atoms == 0:
+        return False
+    w = mu.weights
+    if np.any(w.imag != 0.0) or np.any(w.real < 0.0):
+        return False
+    return abs(math.fsum(w.real) - 1.0) <= 1e-12
+
+
+def weight_at(mu: WeightedMeasure, site: int) -> complex:
+    i = np.searchsorted(mu.sites, site)
+    if i < len(mu.sites) and mu.sites[i] == site:
+        return complex(mu.weights[i])
+    return 0.0
+
+
+def allclose(mu: WeightedMeasure, nu: WeightedMeasure) -> bool:
+    """The same sites, and weights within 1e-12 of each other."""
+    if not np.array_equal(mu.sites, nu.sites):
+        return False
+    return bool(np.all(np.abs(mu.weights - nu.weights) <= 1e-12))
 
 
 def uniform_dyadic_family() -> MeasureFamily:

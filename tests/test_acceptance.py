@@ -121,7 +121,6 @@ def _positive_selection():
     return fam, select_subsequence(fam, 3, search_cap=10**5)
 
 
-@pytest.mark.slow
 def test_criterion_02_selection_positive_path():
     with criterion(2, "selection-positive-path", 600):
         # perturbed:power:1/4 meets the hypothesis, but its first admissible

@@ -12,7 +12,6 @@ from ergodecay import (
     golden_rotation,
     indicator_function,
     make_measure,
-    point_mass,
     rotation_system,
     squares_measure,
     table_function,
@@ -21,7 +20,7 @@ from ergodecay import (
     weyl_sum,
 )
 from ergodecay.dynsys import _rotation_fractions
-from helpers import uniform_dyadic_family
+from helpers import point_mass, uniform_dyadic_family
 
 
 def test_delta0_returns_f_at_x():

@@ -15,7 +15,6 @@ from ergodecay import (
     parse_rho,
     perturbed_family,
     perturbed_squares_measure,
-    point_mass,
     rho_constant,
     rho_log,
     rho_log_power,
@@ -26,7 +25,7 @@ from ergodecay import (
     squares_measure,
 )
 from ergodecay import families
-from ergodecay.measures import _uniform_on
+from helpers import allclose, is_probability, point_mass
 
 
 # -- rho menu -------------------------------------------------------------------
@@ -324,7 +323,7 @@ def test_squares_small():
     nu3 = squares_measure(3)
     assert nu3.sites.tolist() == [1, 4, 9]
     assert np.allclose(nu3.weights, 1 / 3)
-    assert nu3.is_probability
+    assert is_probability(nu3)
 
 
 def test_squares_100_transform_at_quarter():
@@ -338,7 +337,7 @@ def test_squares_100_transform_at_quarter():
 
 def test_rotated_n1_is_delta1():
     for variant in ("linear", "quadratic"):
-        assert rotated_squares_measure(1, variant).allclose(point_mass(1), tol=1e-12)
+        assert allclose(rotated_squares_measure(1, variant), point_mass(1))
 
 
 def test_rotated_quadratic_n4_weights():
@@ -408,7 +407,7 @@ def test_probability_mass_bounds():
         for n in (1, 7, 49, 360):
             mu = fam.measure(n)
             assert abs(mu.total_variation - 1.0) <= 1e-12
-            assert mu.is_probability
+            assert is_probability(mu)
 
 
 # -- support radius ---------------------------------------------------------------
@@ -479,10 +478,10 @@ def test_squares_family_residue_counts_match_bincount():
     assert rotated_family().residue_counts(10) is None  # weights are not uniform
 
 
-def test_perturbed_family_without_increasing_sites_drops_its_counts(monkeypatch):
-    # a block whose sites do not strictly increase (no rho of the menu gives
-    # one) sends every measure through _uniform_on's check, which merges the
-    # collisions, and withdraws the counts
+def test_perturbed_family_raises_on_sites_that_do_not_increase(monkeypatch):
+    # no rho of the menu gives a block whose sites do not strictly increase
+    # (int64 overflow of k^2 past k of about 3.04e9 would); such a block
+    # raises, naming the k, and leaves the blocks before it in service
     real = families._perturbed_sites
 
     def colliding(rho, k_lo, k_hi):
@@ -494,13 +493,16 @@ def test_perturbed_family_without_increasing_sites_drops_its_counts(monkeypatch)
     monkeypatch.setattr(families, "_perturbed_sites", colliding)
     rho = rho_power(Fraction(1, 4))
     fam = perturbed_family(rho)
-    assert fam.residue_counts(1024).tolist() == np.bincount(
-        fam.measure(1024).sites & 3, minlength=4
-    ).tolist()
-    mu = fam.measure(1030)
-    assert fam.residue_counts(1030) is None and fam.residue_counts(5) is None
-    want = np.concatenate([real(rho, 1, 1025), colliding(rho, 1025, 2049)])[:1030]
-    assert mu == _uniform_on(want) and mu.n_atoms == 1029
+    first = fam.measure(1024)
+    for n in (1030, 2048):
+        with pytest.raises(ArithmeticError, match=r"perturbed:power:0\.25: .* k = 1026 "):
+            fam.measure(n)
+        with pytest.raises(ArithmeticError, match="k = 1026"):
+            fam.residue_counts(n)
+    assert fam.measure(1024) == first and first.sites.tolist() == real(rho, 1, 1025).tolist()
+    for n in (5, 1024):
+        want = np.bincount(real(rho, 1, n + 1) & 3, minlength=4)
+        assert fam.residue_counts(n).tolist() == want.tolist(), n
 
 
 # -- descriptors -------------------------------------------------------------------

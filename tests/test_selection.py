@@ -16,7 +16,6 @@ from ergodecay import (
     parse_family,
     select_subsequence,
     selection_from_json,
-    selection_to_json,
     squares_family,
     verify_selection,
 )
@@ -339,7 +338,7 @@ def test_verify_rejects_injected_fault():
 def test_selection_json_roundtrip():
     fam = uniform_dyadic_family()
     state = select_subsequence(fam, 2, search_cap=64)
-    text = selection_to_json(state)
+    text = json.dumps(state.to_dict(), indent=2)
     payload = json.loads(text)
     assert set(payload) == {"family", "chosen", "S_values", "achieved_sups", "bounds"}
     back = selection_from_json(text)
