@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .czmax import (
     CZDecomposition,
-    DyadicInterval,
     cz_decompose,
     cz_report,
     cz_tree,

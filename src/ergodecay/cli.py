@@ -31,7 +31,7 @@ from .dynsys import (
 )
 from .errors import ConfigError, ResourceCapError, SelectionStalled, VerificationError
 from .families import parse_family, parse_rho
-from .measures import fourier_grid, make_measure, triviality_sup
+from .measures import DEFAULT_GRID_CAP, fourier_grid, make_measure, triviality_sup
 from .selection import select_subsequence, verify_selection
 from .threshold import residue_density, transform_bound_audit
 from .weyl import weyl_bound_audit
@@ -92,6 +92,8 @@ def _config_of(args: argparse.Namespace) -> dict:
 def cmd_fourier(args) -> int:
     family = parse_family(args.family)
     G = args.grid
+    if G > DEFAULT_GRID_CAP:  # before fourier_grid allocates G points
+        raise ResourceCapError(f"fourier: grid {G} exceeds cap {DEFAULT_GRID_CAP}")
     vals = map(complex, fourier_grid(family.measure(args.n), G))
     rows = ((m / G, v.real, v.imag, abs(v)) for m, v in enumerate(vals))
     _write_csv(args.out, ["gamma", "re", "im", "abs"], rows)
@@ -207,6 +209,8 @@ def cmd_weyl_audit(args) -> int:
 def cmd_threshold_audit(args) -> int:
     rho = parse_rho(args.rho)
     Ns = _parse_int_list(args.n_list)
+    if args.grid > DEFAULT_GRID_CAP:  # before the audit allocates grid points
+        raise ResourceCapError(f"threshold-audit: grid {args.grid} exceeds cap {DEFAULT_GRID_CAP}")
     report = transform_bound_audit(rho, Ns, grid=args.grid)
     rows = [
         (args.rho, r["N"], r["beta"], "", "transform", r["value"], r["bound"], r["ratio"])

@@ -6,8 +6,8 @@ over all of Z.  The stopping rule selects maximal dyadic intervals whose
 the achieved constants are ||g||_inf <= 2*lambda and sum|b| <= 4*lambda*|Q|
 (a factor 2 above the classical continuum constants; both are reported).
 
-A decomposition is g, sum b as one measure, and the selected intervals, which
-cut sum b into the b_{s,k}.
+A decomposition is g, sum b as one measure, and the selected intervals as two
+int64 arrays, their scales s and keys k, which cut sum b into the b_{s,k}.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .measures import (
 )
 
 __all__ = [
-    "DyadicInterval",
     "CZDecomposition",
     "cz_tree",
     "cz_decompose",
@@ -49,37 +48,22 @@ __all__ = [
 _MAX_TOP_SCALE = 28
 
 
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    s: int  # scale: |Q| = 2^s
-    k: int  # position: Q = [k*2^s, (k+1)*2^s)
-
-    @property
-    def start(self) -> int:
-        return self.k << self.s
-
-    @property
-    def stop(self) -> int:
-        return (self.k + 1) << self.s
-
-    @property
-    def length(self) -> int:
-        return 1 << self.s
-
-
 @dataclass(frozen=True)
 class CZDecomposition:
-    """phi = good + bad_sum.  bad_sum lies on the selected intervals, and its
-    atoms in one selected interval Q are b_Q."""
+    """phi = good + bad_sum.  The selected intervals are
+    Q_i = [keys[i] * 2^scales[i], (keys[i] + 1) * 2^scales[i]), sorted by
+    start, in two read-only int64 arrays; bad_sum lies on them, and its atoms
+    in Q_i are b_{Q_i}."""
 
     lam: float
     good: WeightedMeasure
     bad_sum: WeightedMeasure  # sum of the b_{s,k}; their supports are disjoint
-    selected: tuple  # (DyadicInterval, ...), sorted by start
+    scales: np.ndarray
+    keys: np.ndarray
 
     @property
     def carleson_sum(self) -> int:
-        return sum(q.length for q in self.selected)
+        return int(np.left_shift(1, self.scales).sum())  # a Python int: JSON writes it
 
 
 def _top_scale(phi: WeightedMeasure, lam: float) -> int:
@@ -141,10 +125,11 @@ def cz_decompose(phi: WeightedMeasure, lam: float, tree: tuple | None = None) ->
         mask = (sums[s] > lam * (1 << s)) & ~covered
         picked.append(keys[s][mask])
         covered = (covered | mask)[ups[s - 1]] if s else None  # onto children
-    s = np.repeat(np.arange(s_top - 1, -1, -1), [len(p) for p in picked])
+    s = np.repeat(np.arange(s_top - 1, -1, -1, dtype=np.int64), [len(p) for p in picked])
     k = np.concatenate([np.zeros(0, dtype=np.int64), *picked])
     order = np.argsort(k << s)
     s, k = s[order], k[order]
+    s.flags.writeable = k.flags.writeable = False
     starts, lengths = k << s, np.left_shift(1, s)
     lo, hi = np.searchsorted(phi.sites, [starts, starts + lengths])
     counts = hi - lo
@@ -163,7 +148,7 @@ def cz_decompose(phi: WeightedMeasure, lam: float, tree: tuple | None = None) ->
         np.concatenate([np.delete(phi.weights, at), mean_on_span]),
     )
     bad_sum = _from_arrays(span, on_span - mean_on_span)
-    return CZDecomposition(lam, good, bad_sum, tuple(map(DyadicInterval, s.tolist(), k.tolist())))
+    return CZDecomposition(lam, good, bad_sum, s, k)
 
 
 def cz_report(phi: WeightedMeasure, dec: CZDecomposition) -> dict:
@@ -176,7 +161,7 @@ def cz_report(phi: WeightedMeasure, dec: CZDecomposition) -> dict:
     g_inf = float(np.max(np.abs(dec.good.weights))) if dec.good.n_atoms else 0.0
     return {
         "lambda": dec.lam,
-        "n_bad_intervals": len(dec.selected),
+        "n_bad_intervals": len(dec.keys),
         "carleson_sum": dec.carleson_sum,
         "g_inf_norm": g_inf,
         "reconstruction_error": err,
@@ -322,10 +307,9 @@ def e1_e2_diagnostics(phi: WeightedMeasure, state, family, lam: float) -> list[d
     """
     dec = cz_decompose(phi, lam)
     b = dec.bad_sum
-    starts = np.array([q.start for q in dec.selected], dtype=np.int64)
-    scales_of = np.array([q.s for q in dec.selected], dtype=np.int64)
+    starts = dec.keys << dec.scales
     # the scale of the selected interval that holds each atom of sum b
-    atom_scale = scales_of[np.searchsorted(starts, b.sites, side="right") - 1]
+    atom_scale = dec.scales[np.searchsorted(starts, b.sites, side="right") - 1]
     rows = []
     for k in range(2, len(state.chosen) + 1):
         n_k = state.chosen[k - 1]

@@ -148,17 +148,18 @@ def _circle_dist(beta: float) -> float:
     return min(b, 1.0 - b)
 
 
-def major_arc_audit(rho: RhoSpec, N: int, beta: float, eps: float | None = None) -> dict:
+def major_arc_audit(rho: RhoSpec, N: int, beta: float) -> dict:
     """Per-block comparison of block sums with their arc estimates.
 
     Small denominators (q <= N^(2/3)): |sum_{k in I_j} e(k^2 beta) -
     Lambda_hat(p/q) V_j(beta - p/q)| against N^(-eps/6) L_j; large
-    denominators: |block sum| against N^(-eps/7) L_j.  Ratios are empirical
-    constants, reported but never asserted as ground truth.
+    denominators: |block sum| against N^(-eps/7) L_j, eps = rho.epsilon.
+    Ratios are empirical constants, reported but never asserted as ground
+    truth.
     """
     if rho.kind == "constant":
         raise ConfigError("major-arc audit needs an unbounded rho")
-    eps = rho.epsilon if eps is None else float(eps)
+    eps = rho.epsilon
     cert = dirichlet_approx(beta, float(N) ** (4.0 / 3.0))
     q, p = cert.q, cert.p
     small_q = q <= N ** (2.0 / 3.0)

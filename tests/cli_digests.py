@@ -6,15 +6,15 @@ Usage::
 
 Runs every command of ``helpers.CLI_COMMANDS``, then the CLI commands of the
 benchmark workloads (``BENCH_COMMANDS``), then the stalled scans of
-``STALL_COMMANDS``, then each extra command line given
-as an argument (shell-quoted, without ``--out``), once each in a fresh
-interpreter.  Prints one line per command: its name, exit code, and the
-sha256 of its data file and of its stderr.  Then, in this interpreter, the
-library steps that reach ``czmax.sigma_n`` (``sigma_digests``): one line each
-with the sha256 of its JSON result.  Run it against two trees and
-``diff`` the outputs: an empty diff means byte-identical data files, exit
-codes, error text and library results.  Manifests are left out, since their
-timestamp varies.
+``STALL_COMMANDS``, then the CLI options none of those sets
+(``EXTRA_COMMANDS``), then each extra command line given as an argument
+(shell-quoted, without ``--out``), once each in a fresh interpreter.  Prints
+one line per command: its name, exit code, and the sha256 of its data file and
+of its stderr.  Then, in this interpreter, the library steps that reach
+``czmax.sigma_n`` (``sigma_digests``): one line each with the sha256 of its
+JSON result.  Run it against two trees and ``diff`` the outputs: an empty diff
+means byte-identical data files, exit codes, error text and library results.
+Manifests are left out, since their timestamp varies.
 """
 
 import hashlib
@@ -73,6 +73,17 @@ STALL_COMMANDS = {
     for fam in ("rotated:quadratic", "rotated:linear", "squares")
 }
 
+# CLI options that no command above sets: rotation systems, indicator
+# observables and the log-power and constant rho kinds.
+EXTRA_COMMANDS = {
+    "dynsys-rotation-indicator": [
+        "dynsys-trace", "--system", "rotation:3/7", "--f", "indicator:0.1:0.4",
+        "--family", "squares", "--indices", "4,8",
+    ],
+    "fourier-logpow": ["fourier", "--family", "perturbed:logpow:1.5", "--n", "64", "--grid", "256"],
+    "fourier-const": ["fourier", "--family", "perturbed:const:3", "--n", "64", "--grid", "256"],
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -117,7 +128,7 @@ def sigma_digests() -> dict:
 
 
 def main(extra: list[str]) -> None:
-    commands = {**CLI_COMMANDS, **BENCH_COMMANDS, **STALL_COMMANDS}
+    commands = {**CLI_COMMANDS, **BENCH_COMMANDS, **STALL_COMMANDS, **EXTRA_COMMANDS}
     commands.update((text, shlex.split(text)) for text in extra)
     for name, argv in commands.items():
         print(f"{name}: {digest(argv)}", flush=True)

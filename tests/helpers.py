@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from ergodecay import MeasureFamily, ResourceCapError, WeightedMeasure, make_measure
-from ergodecay.czmax import DyadicInterval
 from ergodecay.measures import _csum, _from_arrays, _uniform_on
 
 _UNIFORM_SUPPORT_CAP = 1 << 22
@@ -133,7 +132,8 @@ def dense_cz_decompose(phi, lam):
 
     The stopping rule of ``cz_decompose`` run on arrays as wide as the
     support's span, with one measure per selected interval.  Returns
-    ``(selected, good, bad)`` with ``bad`` as ((DyadicInterval, b), ...).
+    ``(scales, keys, good, bad)``: the selected Q_{s,k} as int64 arrays sorted
+    by start, and ``bad`` as (((s, k), b), ...).
     """
     tv = phi.total_variation
     s_top = 0
@@ -152,17 +152,19 @@ def dense_cz_decompose(phi, lam):
     for s in range(s_top - 1, -1, -1):
         covered = np.repeat(covered, 2)
         mask = (abs_sums[s] > lam * (1 << s)) & ~covered
-        selected += [DyadicInterval(s, (A >> s) + int(i)) for i in np.nonzero(mask)[0]]
+        selected += [(s, (A >> s) + int(i)) for i in np.nonzero(mask)[0]]
         covered |= mask
-    selected.sort(key=lambda q: (q.start, q.s))
+    selected.sort(key=lambda q: (q[1] << q[0], q[0]))  # by start
     good_dense = dense.copy()
     bad = []
-    for q in selected:
-        off = q.start - A
-        block = dense[off : off + q.length]
-        mean = _csum(block) / q.length
-        sites = np.arange(q.start, q.stop, dtype=np.int64)
-        bad.append((q, _from_arrays(sites, block - mean)))
-        good_dense[off : off + q.length] = mean
+    for s, k in selected:
+        start, length = k << s, 1 << s
+        off = start - A
+        block = dense[off : off + length]
+        mean = _csum(block) / length
+        sites = np.arange(start, start + length, dtype=np.int64)
+        bad.append(((s, k), _from_arrays(sites, block - mean)))
+        good_dense[off : off + length] = mean
     good = _from_arrays(np.arange(A, B, dtype=np.int64), good_dense)
-    return tuple(selected), good, tuple(bad)
+    scales, keys = np.array(selected, dtype=np.int64).reshape(-1, 2).T
+    return scales, keys, good, tuple(bad)

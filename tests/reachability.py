@@ -9,8 +9,8 @@ Usage::
 The traffic runs in this interpreter under ``sys.settrace`` (calls only, no
 line events): every command of ``helpers.CLI_COMMANDS`` and of
 ``cli_digests.BENCH_COMMANDS`` and ``STALL_COMMANDS`` through
-``ergodecay.cli.main``, then ``EXTRA_COMMANDS`` (the CLI options that the
-digest set does not run), then the library steps of
+``ergodecay.cli.main``, then ``cli_digests.EXTRA_COMMANDS`` (the CLI options
+that none of those sets), then the library steps of
 ``cli_digests.sigma_digests``, then ``tests/test_acceptance.py`` under pytest.
 
 A function is reported when no call of it was seen; the functions nested in a
@@ -18,7 +18,8 @@ reported one are not listed again.  Comprehensions and generator expressions
 are parts of their function and are never listed.  Each line reads
 ``module.qualname  line  item N`` for a function an open ROADMAP item will
 call, ``keep: <reason>`` for one that stays without a caller, and ``none``
-for one that has neither.
+for one that has neither.  The exit status is 1 if any line reads ``none``,
+else 0.
 """
 
 import contextlib
@@ -31,17 +32,6 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "ergodecay"
-
-# CLI options that no digest command sets: rotation systems, indicator
-# observables and the log-power and constant rho kinds.
-EXTRA_COMMANDS = {
-    "dynsys-rotation-indicator": [
-        "dynsys-trace", "--system", "rotation:3/7", "--f", "indicator:0.1:0.4",
-        "--family", "squares", "--indices", "4,8",
-    ],
-    "fourier-logpow": ["fourier", "--family", "perturbed:logpow:1.5", "--n", "64", "--grid", "256"],
-    "fourier-const": ["fourier", "--family", "perturbed:const:3", "--n", "64", "--grid", "256"],
-}
 
 # Unreached functions that an open ROADMAP item names as its consumer.
 CONSUMERS = {
@@ -110,7 +100,7 @@ def _run_traffic() -> set:
     try:
         import pytest
 
-        from cli_digests import BENCH_COMMANDS, STALL_COMMANDS, sigma_digests
+        from cli_digests import BENCH_COMMANDS, EXTRA_COMMANDS, STALL_COMMANDS, sigma_digests
         from ergodecay.cli import main
         from helpers import CLI_COMMANDS
 
@@ -136,7 +126,7 @@ def _run_traffic() -> set:
     }
 
 
-def main() -> None:
+def main() -> int:
     unreached = _unreached(_run_traffic())
     for name, line in unreached:
         if name in CONSUMERS:
@@ -146,10 +136,11 @@ def main() -> None:
         else:
             note = "none"
         print(f"{name:<44} {line:>4}  {note}")
-    print(f"{len(unreached)} unreached functions, "
-          f"{sum(1 for n, _ in unreached if n not in CONSUMERS and n not in KEEP)} "
+    orphans = sum(1 for n, _ in unreached if n not in CONSUMERS and n not in KEEP)
+    print(f"{len(unreached)} unreached functions, {orphans} "
           "without a consumer item or keep reason")
+    return 1 if orphans else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

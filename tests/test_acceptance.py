@@ -71,8 +71,7 @@ def criterion(num: int, name: str, budget_s: float):
 def _audit_cz(phi, lam):
     dec = cz_decompose(phi, lam)
     b = dec.bad_sum
-    starts = np.array([q.start for q in dec.selected], dtype=np.int64)
-    stops = np.array([q.stop for q in dec.selected], dtype=np.int64)
+    starts, stops = dec.keys << dec.scales, (dec.keys + 1) << dec.scales
     # every atom of sum b lies in a selected interval
     holder = np.searchsorted(starts, b.sites, side="right") - 1
     assert np.all(holder >= 0) and np.all(b.sites < stops[holder])
@@ -80,11 +79,11 @@ def _audit_cz(phi, lam):
     cuts = np.searchsorted(b.sites, [starts, stops]).T.tolist()
     re, im = b.weights.real.tolist(), b.weights.imag.tolist()
     mags = np.abs(b.weights).tolist()
-    for q, (i, j) in zip(dec.selected, cuts):
+    for length, (i, j) in zip(np.left_shift(1, dec.scales).tolist(), cuts):
         # mean zero, exactly (dyadic inputs)
         assert math.fsum(re[i:j]) == 0.0
         assert math.fsum(im[i:j]) == 0.0
-        assert math.fsum(mags[i:j]) <= 4.0 * lam * q.length + 1e-12
+        assert math.fsum(mags[i:j]) <= 4.0 * lam * length + 1e-12
     # g + sum b - phi, merged per site over the union of the three supports
     parts = (dec.good, b)
     sites = np.concatenate([phi.sites, *(m.sites for m in parts)])
@@ -97,7 +96,7 @@ def _audit_cz(phi, lam):
     if dec.good.n_atoms:
         assert np.max(np.abs(dec.good.weights)) <= 2.0 * lam + 1e-12
     assert dec.carleson_sum <= phi.total_variation / lam + 1e-9
-    spans = sorted((q.start, q.stop) for q in dec.selected)
+    spans = sorted(zip(starts.tolist(), stops.tolist()))
     for (a1, b1), (a2, _) in zip(spans, spans[1:]):
         assert b1 <= a2
 

@@ -60,6 +60,19 @@ def test_triviality_resource_cap_exit_code(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["fourier", "--family", "squares", "--n", "5"],
+    ["threshold-audit", "--rho", "power:1/4", "--n-list", "64"],
+])
+def test_grid_past_cap_exits_4_before_allocating(tmp_path, capsys, argv):
+    # 2^40 complex points would be 16 TiB: the command must stop before any
+    rc = main([*argv, "--grid", str(1 << 40), "--out", str(tmp_path / "g.csv")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"resource cap exceeded: {argv[0]}: grid {1 << 40} exceeds cap" in err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_select_squares_stalls_exit_3(tmp_path, capsys):
     rc = main([
         "select", "--family", "squares", "--k", "2", "--cap", "800",

@@ -23,7 +23,7 @@ from ergodecay import (
     weak11_ratio,
     weak11_rows,
 )
-from ergodecay.czmax import DyadicInterval, sigma_hat_grid
+from ergodecay.czmax import sigma_hat_grid
 from ergodecay.measures import SupBracket, _csum, _from_arrays, convolve
 
 from helpers import (
@@ -66,18 +66,28 @@ def brute_maximal_intervals(phi, lam, s_max=None):
     return sorted(out)
 
 
+def _pairs(dec):
+    """The selected intervals as (s, k) tuples, sorted by start."""
+    return list(zip(dec.scales.tolist(), dec.keys.tolist()))
+
+
+def _bounds(dec):
+    """Starts, stops and lengths of the selected intervals, as int64 arrays."""
+    return dec.keys << dec.scales, (dec.keys + 1) << dec.scales, np.left_shift(1, dec.scales)
+
+
 # -- cz_decompose ---------------------------------------------------------------
 
 
 def test_cz_below_threshold_everywhere():
     dec = cz_decompose(point_mass(0), 2.0)
-    assert dec.selected == ()
+    assert _pairs(dec) == []
     assert dec.good == point_mass(0)
 
 
 def test_cz_single_point_interval():
     dec = cz_decompose(point_mass(0), 0.5)
-    assert [(q.s, q.k) for q in dec.selected] == [(0, 0)]
+    assert _pairs(dec) == [(0, 0)]
     assert dec.bad_sum.n_atoms == 0  # b = phi - mean vanishes on a single point
     assert dec.good == point_mass(0)
     assert np.max(np.abs(dec.good.weights)) <= 2 * 0.5
@@ -89,7 +99,7 @@ def test_cz_indicator_block_maximality_climbs():
     oracle = brute_maximal_intervals(phi, lam)
     assert oracle == [(3, 0)]  # avg over [0,8) is 0.5 > 0.3, over [0,16) is 0.25
     dec = cz_decompose(phi, lam)
-    assert [(q.s, q.k) for q in dec.selected] == oracle
+    assert _pairs(dec) == oracle
     rep = cz_report(phi, dec)
     assert rep["reconstruction_error"] == 0.0
 
@@ -98,7 +108,7 @@ def test_cz_report_measures_injected_reconstruction_error():
     rng = np.random.default_rng(5)
     phi = dyadic_phi(rng, span=64, n=12)
     dec = cz_decompose(phi, float(np.max(np.abs(phi.weights))) / 8)
-    assert dec.selected
+    assert len(dec.keys)
 
     def plus(mu, site, w):
         return make_measure([(int(x), v) for x, v in zip(mu.sites, mu.weights)] + [(site, w)])
@@ -110,8 +120,8 @@ def test_cz_report_measures_injected_reconstruction_error():
     # a site only in phi
     assert cz_report(plus(phi, far, -0.625), dec)["reconstruction_error"] == 0.625
     # a site inside a selected interval, off in the sum of the bad pieces
-    q = dec.selected[0]
-    off = replace(dec, bad_sum=plus(dec.bad_sum, q.start, 0.125))
+    start = int(_bounds(dec)[0][0])
+    off = replace(dec, bad_sum=plus(dec.bad_sum, start, 0.125))
     assert cz_report(phi, off)["reconstruction_error"] == 0.125
 
 
@@ -122,7 +132,7 @@ def test_cz_matches_brute_oracle_on_corpus():
         top = float(np.max(np.abs(phi.weights)))
         for lam in (top / 2, top / 8, top / 32):
             dec = cz_decompose(phi, lam)
-            assert sorted((q.s, q.k) for q in dec.selected) == brute_maximal_intervals(
+            assert sorted(_pairs(dec)) == brute_maximal_intervals(
                 phi, lam
             )
 
@@ -147,6 +157,23 @@ def _tie_lambdas(phi):
     return out
 
 
+def _same_intervals(dec, scales, keys):
+    """The same read-only int64 arrays as the reference's, bit for bit."""
+    return all(
+        a.dtype == np.int64 and not a.flags.writeable and a.tobytes() == b.tobytes()
+        for a, b in ((dec.scales, scales), (dec.keys, keys))
+    )
+
+
+def _check_counts(phi, dec, scales):
+    """The Carleson sum is sum 2^s, and cz_report writes both counts as
+    Python ints (json.dump rejects numpy integers)."""
+    assert dec.carleson_sum == sum(1 << s for s in scales.tolist())
+    rep = cz_report(phi, dec)
+    assert type(rep["n_bad_intervals"]) is int and rep["n_bad_intervals"] == len(scales)
+    assert type(rep["carleson_sum"]) is int and rep["carleson_sum"] == dec.carleson_sum
+
+
 def test_cz_matches_dense_reference_bit_for_bit():
     rng = np.random.default_rng(11)
     sizes = rng.integers(1, 40, size=30).tolist()
@@ -161,10 +188,11 @@ def test_cz_matches_dense_reference_bit_for_bit():
         lams = [top / 2, top / 8, tv / 64, tv / 1024] + _tie_lambdas(phi)
         for lam in lams:
             dec = cz_decompose(phi, lam)
-            selected, good, bad = dense_cz_decompose(phi, lam)
-            assert dec.selected == selected
+            scales, keys, good, bad = dense_cz_decompose(phi, lam)
+            assert _same_intervals(dec, scales, keys)
+            _check_counts(phi, dec, scales)
             assert _same_measure(dec.good, good)
-            assert [q for q, _ in bad] == list(selected)
+            assert [q for q, _ in bad] == list(zip(scales.tolist(), keys.tolist()))
             bad_sum = _from_arrays(  # the reference pieces, concatenated
                 np.concatenate([np.zeros(0, np.int64), *(b.sites for _, b in bad)]),
                 np.concatenate([np.zeros(0, np.complex128), *(b.weights for _, b in bad)]),
@@ -173,13 +201,13 @@ def test_cz_matches_dense_reference_bit_for_bit():
     for phi in corpus[:30]:  # dyadic values: the tie lambdas are exact averages
         site = int(phi.sites[np.argmax(np.abs(phi.weights))])
         for s, lam in zip((1, 2, 3), _tie_lambdas(phi)):
-            assert DyadicInterval(s, site >> s) not in cz_decompose(phi, lam).selected
+            assert (s, site >> s) not in _pairs(cz_decompose(phi, lam))
 
 
 def test_cz_tie_at_lambda_not_selected():
     phi = make_measure([(0, 3.0), (1, 1.0), (5, 0.5)])
     dec = cz_decompose(phi, 2.0)  # average over [0, 2) is exactly 2.0
-    assert [(q.s, q.k) for q in dec.selected] == brute_maximal_intervals(phi, 2.0)
+    assert _pairs(dec) == brute_maximal_intervals(phi, 2.0)
     assert brute_maximal_intervals(phi, 2.0) == [(0, 0)]
 
 
@@ -191,7 +219,7 @@ def test_cz_far_apart_atoms_need_no_dense_window():
     dec = cz_decompose(phi, 0.5)  # tv = 4, so the top scale is 3
     # [0, 4) has average 3/4 > 0.5 and [0, 8) has 3/8; at the far atom only
     # the single point {far + 1} has average above 0.5
-    assert [(q.s, q.k) for q in dec.selected] == [(2, 0), (0, far + 1)]
+    assert _pairs(dec) == [(2, 0), (0, far + 1)]
     assert dec.good == make_measure([(x, 0.75) for x in range(4)] + [(far + 1, 1.0)])
     assert dec.bad_sum == make_measure([(0, 2.25), (1, -0.75), (2, -0.75), (3, -0.75)])
     assert cz_report(phi, dec)["reconstruction_error"] == 0.0
@@ -202,15 +230,16 @@ def _check_invariants(phi, lam, dec):
     rep = cz_report(phi, dec)
     assert rep["reconstruction_error"] == 0.0
     b = dec.bad_sum
-    cuts = np.searchsorted(b.sites, [[q.start, q.stop] for q in dec.selected])
+    starts, stops, lengths = _bounds(dec)
+    cuts = np.searchsorted(b.sites, np.stack([starts, stops], axis=1))
     assert sum(j - i for i, j in cuts.tolist()) == b.n_atoms  # all inside some Q
-    for q, (i, j) in zip(dec.selected, cuts.tolist()):
+    for length, (i, j) in zip(lengths.tolist(), cuts.tolist()):
         assert math.fsum(b.weights[i:j].real) == 0.0
         assert math.fsum(b.weights[i:j].imag) == 0.0
-        assert math.fsum(np.abs(b.weights[i:j])) <= 4 * lam * q.length + 1e-12
+        assert math.fsum(np.abs(b.weights[i:j])) <= 4 * lam * length + 1e-12
     assert rep["g_inf_norm"] <= 2 * lam + 1e-12
     assert dec.carleson_sum <= phi.total_variation / lam + 1e-12
-    ivs = sorted((q.start, q.stop) for q in dec.selected)
+    ivs = sorted(zip(starts.tolist(), stops.tolist()))
     for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
         assert b1 <= a2  # pairwise disjoint
 
@@ -225,13 +254,14 @@ def test_cz_invariants_small_corpus():
 
 
 def _same_as_dense(phi, lam, dec):
-    selected, good, bad = dense_cz_decompose(phi, lam)
+    scales, keys, good, bad = dense_cz_decompose(phi, lam)
+    _check_counts(phi, dec, scales)
     bad_sum = _from_arrays(  # the reference pieces, concatenated
         np.concatenate([np.zeros(0, np.int64), *(b.sites for _, b in bad)]),
         np.concatenate([np.zeros(0, np.complex128), *(b.weights for _, b in bad)]),
     )
     return (
-        dec.selected == selected
+        _same_intervals(dec, scales, keys)
         and _same_measure(dec.good, good)
         and _same_measure(dec.bad_sum, bad_sum)
     )
@@ -267,7 +297,7 @@ def test_shared_tree_matches_dense_and_treeless(phi, data):
         dec = cz_decompose(phi, lam, tree)
         assert _same_as_dense(phi, lam, dec)
         alone = cz_decompose(phi, lam)
-        assert dec.selected == alone.selected
+        assert _same_intervals(dec, alone.scales, alone.keys)
         assert _same_measure(dec.good, alone.good)
         assert _same_measure(dec.bad_sum, alone.bad_sum)
 
@@ -281,7 +311,7 @@ def test_tree_of_another_phi_or_too_short_raises():
         cz_decompose(phi, 0.25, cz_tree(phi, 3.0))  # height 1 of the needed 5
     # a tree built for a larger lambda of the same top scale is tall enough
     tree = cz_tree(phi, 0.5)
-    assert cz_decompose(phi, 0.3, tree).selected == cz_decompose(phi, 0.3).selected
+    assert _pairs(cz_decompose(phi, 0.3, tree)) == _pairs(cz_decompose(phi, 0.3))
 
 
 def test_lone_atom_mean_keeps_csum_zero_signs():
@@ -292,13 +322,13 @@ def test_lone_atom_mean_keeps_csum_zero_signs():
     for lam in (0.1, 0.3, 0.7, 1.2):
         dec = cz_decompose(phi, lam)
         assert _same_as_dense(phi, lam, dec)
-        for q in dec.selected:
-            i, j = np.searchsorted(phi.sites, [q.start, q.stop])
+        for start, stop, length in zip(*(a.tolist() for a in _bounds(dec))):
+            i, j = np.searchsorted(phi.sites, [start, stop])
             if j - i == 1:
-                mean = _csum(phi.weights[i:j]) / q.length
-                got = dec.good.weights[np.searchsorted(dec.good.sites, q.start)]
-                assert np.array([got]).tobytes() == np.array([mean]).tobytes(), (lam, q)
-    assert any(q.length > 1 for q in cz_decompose(phi, 0.3).selected)
+                mean = _csum(phi.weights[i:j]) / length
+                got = dec.good.weights[np.searchsorted(dec.good.sites, start)]
+                assert np.array([got]).tobytes() == np.array([mean]).tobytes(), (lam, start)
+    assert any(_bounds(cz_decompose(phi, 0.3))[2] > 1)
 
 
 def test_lambda_must_be_positive_and_not_nan():
@@ -311,7 +341,7 @@ def test_lambda_must_be_positive_and_not_nan():
         with pytest.raises(ValueError, match="lambda"):
             cz_decompose(phi, lam, cz_tree(phi, 1.0))
     dec = cz_decompose(phi, math.inf)  # no average exceeds it
-    assert dec.selected == () and dec.good == phi and dec.bad_sum.n_atoms == 0
+    assert _pairs(dec) == [] and dec.good == phi and dec.bad_sum.n_atoms == 0
 
 
 # -- maximal function -------------------------------------------------------------
@@ -540,6 +570,19 @@ def test_e1_e2_bounds_hold_on_corpus():
     assert nonzero > 0
 
 
-def test_dyadic_interval_geometry():
-    q = DyadicInterval(3, -1)
-    assert q.start == -8 and q.stop == 0 and q.length == 8
+def test_negative_keys_hold_their_atoms():
+    # Q_{3,-1} = [-8, 0): avg |phi| there is 1.5 / 8 > 0.1 and over [-16, 0)
+    # it is 1.5 / 16 <= 0.1; the far cluster adds intervals of other scales
+    # and keys.  The bounds are Python ints, k * 2^s, not numpy shifts.
+    phi = make_measure([(-8, 1.0), (-3, -0.5), (-301, 0.75), (-299, -0.25), (-290, 0.5)])
+    lam = 0.1
+    dec = cz_decompose(phi, lam)
+    assert (3, -1) in _pairs(dec)
+    assert sorted(_pairs(dec)) == brute_maximal_intervals(phi, lam)
+    b = dec.bad_sum
+    assert b.n_atoms > 8
+    holder = np.searchsorted(dec.keys << dec.scales, b.sites, side="right") - 1
+    assert np.all(holder >= 0)
+    for x, i in zip(b.sites.tolist(), holder.tolist()):
+        s, k = int(dec.scales[i]), int(dec.keys[i])
+        assert k * 2**s <= x < (k + 1) * 2**s, (x, s, k)

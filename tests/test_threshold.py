@@ -218,6 +218,7 @@ def test_major_arc_small_q_branch():
     out = major_arc_audit(RHO4, 1 << 10, 1 / 3 + 1e-7)
     assert out["branch"] == "qsmall"
     assert out["q"] == 3
+    assert out["eps"] == RHO4.epsilon
     assert out["rows"]
     assert math.isfinite(out["max_ratio"])
 
